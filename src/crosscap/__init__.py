@@ -15,7 +15,8 @@ from .asymptotics import (HALF_ACTION, INSTANTON_ACTION, AsymParams, asym_u,
                           asym_v, asym_vk, relative_error)
 from .extrapolation import (FloatSeq, PrecisionWarning, RichardsonResult,
                             StokesEstimate, estimate_stokes, matched_digits,
-                            r_seq, richardson, s_seq, convergence_rows)
+                            probe_richardson, r_seq, richardson, s_seq,
+                            convergence_rows)
 from .specgeom import (SpectralCurveError, alpha2_series,
                        quadrangulation_counts, rp2_correlator_series,
                        x02_series)
@@ -32,7 +33,7 @@ __all__ = [
     "asym_vk", "relative_error",
     "FloatSeq", "PrecisionWarning", "RichardsonResult", "StokesEstimate",
     "estimate_stokes", "matched_digits", "r_seq", "richardson", "s_seq",
-    "convergence_rows",
+    "convergence_rows", "probe_richardson",
     "SpectralCurveError", "alpha2_series", "quadrangulation_counts",
     "rp2_correlator_series", "x02_series",
 ]

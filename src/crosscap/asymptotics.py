@@ -23,11 +23,7 @@ HALF_ACTION = QF3(0, Fraction(4, 5))        # A/2, the v-sector eigenvalue
 
 
 class AsymParams:
-    """Constants entering the expansions: the action and the Stokes ratios."""
-
-    action = INSTANTON_ACTION
-    half_action = HALF_ACTION
-    beta = 0  # v-sector exponent
+    """The Stokes ratios S/(2 pi i) entering the expansions."""
 
     @staticmethod
     def s_u_over_2pi_i(dps: int = DEFAULT_DPS) -> mpmath.mpf:
@@ -67,12 +63,12 @@ def _brace(coeffs: list[QF3], action_power: QF3, L: int,
     return acc
 
 
-def gamma_exact_half(twice: int) -> tuple[Fraction, bool]:
-    """Gamma(twice/2) as (rational, carries_sqrt_pi); twice odd and positive."""
+def gamma_exact_half(twice: int) -> Fraction:
+    """Gamma(twice/2) / sqrt(pi), rational; twice odd and positive."""
     if twice <= 0 or twice % 2 == 0:
         raise ValueError("expects a positive odd numerator over 2")
     m = (twice - 1) // 2  # Gamma(m + 1/2)
-    return Fraction(factorial(2 * m), 4 ** m * factorial(m)), True
+    return Fraction(factorial(2 * m), 4 ** m * factorial(m))
 
 
 def asym_u(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
@@ -87,7 +83,7 @@ def asym_u(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     mu = mu_seq(L)
     brace = _brace(mu, INSTANTON_ACTION, L,
                    lambda m: Fraction(4 * n - 1 - 2 * m, 2))
-    gamma_rat, _ = gamma_exact_half(4 * n - 1)
+    gamma_rat = gamma_exact_half(4 * n - 1)
     with mpmath.workdps(dps + 15):
         a = INSTANTON_ACTION.to_float(dps + 15)
         pref = a ** (-2 * n + mpmath.mpf("0.5"))

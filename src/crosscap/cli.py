@@ -28,20 +28,20 @@ from .exactnum import DEFAULT_DPS, SymbolicConstantError, rational_to_float
 from .sequences import intersection_number, p_of_g, t_of_g, u_seq, v_seq
 from .transseries import mu_seq, nu_seq, vk_table, vpm_series
 from .asymptotics import asym_u, asym_v, asym_vk, relative_error
-from .extrapolation import estimate_stokes, r_seq, richardson, s_seq, convergence_rows
+from .extrapolation import convergence_rows, estimate_stokes, probe_richardson
 from .specgeom import quadrangulation_counts
 
 MIN_DPS = 30
 
 
-def _default_dps() -> int:
-    raw = os.environ.get("CROSSCAP_PREC")
-    if raw is None:
-        return DEFAULT_DPS
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_DPS
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return int(text)
+    parse.__name__ = "int"  # names the type in argparse's malformed-value error
+    return parse
 
 
 def _nstr(x, dps: int) -> str:
@@ -59,17 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
     common.add_argument("--output", metavar="PATH", default=None)
-    common.add_argument("--prec", type=int, default=None,
-                        help="working precision in decimal digits "
-                             f"(default {_default_dps()}, min {MIN_DPS})")
+    # argparse parses a string default like an argument, so a malformed or
+    # too small CROSSCAP_PREC is a usage error
+    common.add_argument("--prec", type=_int_at_least(MIN_DPS),
+                        default=os.environ.get("CROSSCAP_PREC", DEFAULT_DPS),
+                        help="working precision in decimal digits (default "
+                             f"CROSSCAP_PREC or {DEFAULT_DPS}, min {MIN_DPS})")
 
     p = sub.add_parser("seq", parents=[common],
                        help="exact sequence prefix")
     p.add_argument("name", choices=("u", "v", "t", "p", "mu", "nu"))
     p.add_argument("--n", type=int, required=True,
                    help="last index (for p: twice the surface type)")
-    p.add_argument("--float", dest="float_dps", type=int, metavar="P",
-                   default=None, help="also render values at P digits")
+    p.add_argument("--float", dest="float_dps", type=_int_at_least(MIN_DPS),
+                   metavar="P", help="also render values at P digits")
 
     p = sub.add_parser("transseries", parents=[common],
                        help="multi-instanton table v[n,k]")
@@ -91,14 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("richardson", parents=[common],
                        help="Richardson transform of the s or r sequence")
     p.add_argument("--target", choices=("s", "r"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--order", type=_int_at_least(0), required=True)
 
     p = sub.add_parser("stokes", parents=[common],
                        help="Stokes constant estimate with digit match")
     p.add_argument("--which", choices=("sprime", "sminus1"), required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(1), default=None)
+    p.add_argument("--order", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("quad", parents=[common],
                        help="rooted quadrangulation counts of RP^2")
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plotdata", parents=[common],
                        help="convergence-plot data (CSV)")
     p.add_argument("name", choices=("unorquot", "firstcorr"))
-    p.add_argument("--nmax", type=int, default=250)
+    p.add_argument("--nmax", type=_int_at_least(1), default=250)
 
     return parser
 
@@ -229,9 +232,7 @@ def _cmd_asym(args, dps: int) -> None:
 
 
 def _cmd_richardson(args, dps: int) -> None:
-    builder = s_seq if args.target == "s" else r_seq
-    seq = builder(args.n + args.order, dps)
-    result = richardson(seq, args.order, args.n)
+    result = probe_richardson(args.target, args.order, args.n, dps)
     text = _nstr(result.value, dps)
     _emit(args, [text], [(args.n, args.order, text)],
           ["n", "order", f"value[dps={dps}]"], [text], precision=dps,
@@ -306,16 +307,8 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    dps = args.prec if args.prec is not None else _default_dps()
-    if dps < MIN_DPS:
-        sys.stderr.write(f"crosscap: precision must be at least {MIN_DPS}\n")
-        return 2
-    fdps = getattr(args, "float_dps", None)
-    if fdps is not None and fdps < MIN_DPS:
-        sys.stderr.write(f"crosscap: precision must be at least {MIN_DPS}\n")
-        return 2
     try:
-        _HANDLERS[args.command](args, dps)
+        _HANDLERS[args.command](args, args.prec)
     except Exception as exc:
         sys.stderr.write(f"crosscap: {exc}\n")
         return 1

@@ -1,38 +1,40 @@
-"""Richardson transforms of the Stokes-probing sequences.
+"""Richardson transforms of the Stokes-probing sequences, exact, rounded once.
 
 The probe sequences are
 
     s_n = 2 pi (A/2)^n v_n / Gamma(n)          ->  sqrt6        (= -i S')
     r_n = n (s_n / sqrt6 - 1)                  ->  -1/5         (= nu_1 A / 2)
 
-and the N-th Richardson transform is
+and the N-th Richardson transform at n is the linear combination
 
-    s^(N)_n = sum_{k=0}^{N} s_{n+k} (n+k)^N (-1)^(k+N) / (k! (N-k)!)
+    s^(N)_n = (1/N!) sum_{k=0}^{N} (-1)^(k+N) C(N,k) (n+k)^N s_{n+k}.
 
-with binomial weights computed exactly and rounded once.  The back
-propagating Stokes constant is estimated from the k = 2 row of the
-multi-instanton table after subtracting the forward contribution.
+By parity s_n = 2 pi sqrt3 q_n and r_n = sqrt2 pi (n q_n) - n with q_n
+rational, and the sequence behind S_-1 is 2 pi sqrt3 L_n - 3 sqrt6 B_n with
+L_n, B_n rational.  By linearity each transform is a few constants times
+exact rational transforms (``_transform``), combined and rounded once
+(``_round``); ``richardson`` transforms user float data exactly as given.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, lcm
 
 import mpmath
+from mpmath.libmp import (dps_to_prec, from_rational, mpf_add, mpf_mul,
+                          mpf_pos, to_rational)
 
-from .exactnum import DEFAULT_DPS, QF3, rational_to_float
-from .asymptotics import HALF_ACTION, AsymParams
+from .exactnum import DEFAULT_DPS
 from .sequences import v_seq
 from .transseries import vk_table
 
-_GUARD = 10
-
 
 class PrecisionWarning(UserWarning):
-    """Fewer than 30 guard digits left after the transform's cancellation."""
+    """Fewer than 30 digits of the input's precision survive the weights."""
 
 
 @dataclass(frozen=True)
@@ -61,83 +63,131 @@ class RichardsonResult:
     order: int
     index: int
     value: mpmath.mpf
-    transformed: FloatSeq
 
 
-def _s_exact_core(n_max: int) -> list:
-    """(A/2)^n v_n / Gamma(n) for n = 1..n_max, exact in Q(sqrt3)."""
-    v = v_seq(n_max)
-    out = []
-    power = QF3(1)
-    fact = 1
-    for n in range(1, n_max + 1):
-        power = power * HALF_ACTION
-        if n > 1:
-            fact *= n - 1
-        out.append(power * v[n] * Fraction(1, fact))
+def _transform(x, order: int, n: int) -> tuple:
+    """(1/N!) sum_k (-1)^(k+N) C(N,k) (n+k)^N x[n+k], N = order, x[m] ints or
+    Fractions, exactly: (numerator, denominator), one integer sum over the
+    terms' common denominator, not reduced."""
+    if n < 1 or order < 0:
+        raise ValueError(f"a transform needs n >= 1, order >= 0: {n}, {order}")
+    terms = [x[n + k] for k in range(order + 1)]
+    den = lcm(*(t.denominator for t in terms))
+    total = sum((-1) ** (k + order) * comb(order, k) * (n + k) ** order
+                * t.numerator * (den // t.denominator)
+                for k, t in enumerate(terms))
+    return total, den * factorial(order)
+
+
+@functools.lru_cache(maxsize=64)
+def _constant(c: int, a: int, b: int, prec: int) -> tuple:
+    with mpmath.workprec(prec):
+        return (c * mpmath.pi ** a * mpmath.sqrt(b))._mpf_
+
+
+def _round(parts: list, order: int, n: int, dps: int) -> mpmath.mpf:
+    """Order-``order`` transform at n of sum c pi^a sqrt(b) x[m] over the
+    ((c, a, b), x) ``parts``: each x transformed exactly, the sum rounded
+    once to dps digits.  It is formed 64 bits past that precision, again
+    wider while its parts cancel more than 40 of them.  Works on raw mpf
+    tuples: mpmath's number objects cost more than the arithmetic here."""
+    exact = [(const, _transform(x, order, n)) for const, x in parts]
+    prec, extra = dps_to_prec(dps), 64
+    while True:
+        wp = prec + extra
+        terms = [mpf_mul(_constant(*const, wp), from_rational(p, q, wp, "n"),
+                         wp, "n") for const, (p, q) in exact]
+        total = functools.reduce(lambda x, y: mpf_add(x, y, wp, "n"), terms)
+        # bits cancelled; a raw mpf (sign, man, exp, bc) is below 2^(exp + bc),
+        # and an exact zero total has only zero parts
+        lost = (max(t[2] + t[3] for t in terms) - total[2] - total[3]
+                if total[1] else 0)
+        if lost <= extra - 24:
+            return mpmath.mp.make_mpf(mpf_pos(total, prec, "n"))
+        extra = lost + 64
+
+
+def _sqrt3_parts(row: list) -> list:
+    """q_m = (A/2)^m row[m] / (sqrt3 Gamma(m)) for m >= 1 (entry 0 reads 0).
+    Entries are rational multiples of sqrt3 at even m and rational at odd m,
+    so q_m = c_m (4/5)^m 3^floor(m/2) / (m-1)!, c_m the nonzero part."""
+    out, num, den = [0], 1, 1
+    for m in range(1, len(row)):
+        num *= 12 if m % 2 == 0 else 4
+        den *= 5 * max(m - 1, 1)
+        c, rest = (row[m].b, row[m].a) if m % 2 == 0 else (row[m].a, row[m].b)
+        if rest:
+            raise ArithmeticError(f"entry {m} breaks the parity rule")
+        out.append(Fraction(c.numerator * num, c.denominator * den))
     return out
 
 
+def _probe(which: str, lo: int, top: int) -> list:
+    """Probe ``which`` over lo..top as (constant, exact sequence) parts: "s"
+    2 pi sqrt3 q_m, "r" sqrt2 pi m q_m - m, "sminus1" the k = 2 row less its
+    forward part, (-1)^m [2 pi lam^m v_{m,2}/Gamma(m) - 3 sqrt6 B_m] with lam
+    = A/2, B_m = sum_{l <= min(m//2, top//2, m-1)} v_{l,3} lam^l / (m-1)_l."""
+    if which in ("s", "r"):
+        q = _sqrt3_parts(v_seq(top))
+        if which == "s":
+            return [((2, 1, 3), q)]
+        return [((1, 1, 2), [m * x for m, x in enumerate(q)]),
+                ((-1, 0, 1), range(top + 1))]
+    if which != "sminus1":
+        raise ValueError(f"unknown probe {which!r}")
+    table, width = vk_table(top, 3), top // 2
+    lead = _sqrt3_parts(table.row(2))
+    lam_pow_3 = [(e.a if l % 2 == 0 else e.b) * Fraction(4, 5) ** l
+                 * 3 ** ((l + 1) // 2)  # v_{l,3} lam^l, rational by parity
+                 for l, e in enumerate(table.row(3)[:width + 1])]
+    signed_lead, brace = {}, {}
+    for m in range(lo, top + 1):
+        acc, prod = Fraction(0), 1
+        for l in range(min(m // 2, width, m - 1) + 1):
+            prod *= m - l if l else 1
+            acc += lam_pow_3[l] / prod
+        signed_lead[m], brace[m] = (-1) ** m * lead[m], (-1) ** m * acc
+    return [((2, 1, 3), signed_lead), ((-3, 0, 6), brace)]
+
+
 def s_seq(n_max: int, dps: int = DEFAULT_DPS) -> FloatSeq:
-    """s_1 .. s_{n_max} at dps digits; the exact core feeds one rounding."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    core = _s_exact_core(n_max)
-    vals = []
-    with mpmath.workdps(dps + _GUARD):
-        two_pi = 2 * mpmath.pi
-        raw = [two_pi * c.to_float(dps + _GUARD) for c in core]
-    with mpmath.workdps(dps):
-        vals = tuple(+x for x in raw)
-    return FloatSeq(1, vals, dps)
+    """s_1 .. s_{n_max} at dps digits, each exact value rounded once."""
+    rows = convergence_rows("s", n_max, (0,), dps)
+    return FloatSeq(1, tuple(value for _, value in rows), dps)
 
 
 def r_seq(n_max: int, dps: int = DEFAULT_DPS) -> FloatSeq:
     """r_1 .. r_{n_max} at dps digits, r_n = n (s_n / sqrt6 - 1)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    core = _s_exact_core(n_max)
-    with mpmath.workdps(dps + _GUARD):
-        pi_over_sqrt6 = 2 * mpmath.pi / mpmath.sqrt(6)
-        raw = [n * (pi_over_sqrt6 * c.to_float(dps + _GUARD) - 1)
-               for n, c in enumerate(core, start=1)]
-    with mpmath.workdps(dps):
-        vals = tuple(+x for x in raw)
-    return FloatSeq(1, vals, dps)
+    rows = convergence_rows("r", n_max, (0,), dps)
+    return FloatSeq(1, tuple(value for _, value in rows), dps)
+
+
+def probe_richardson(which: str, order: int, n: int,
+                     dps: int = DEFAULT_DPS) -> RichardsonResult:
+    """Order-``order`` transform of the probe ``which`` ("s" or "r") at n."""
+    value = _round(_probe(which, n, n + order), order, n, dps)
+    return RichardsonResult(order, n, value)
 
 
 def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
-    """Order-``order`` transform of ``seq`` evaluated at index ``n``.
-
-    Returns the transformed prefix seq.start .. n as well; requires data
-    through n + order.  Warns when the weight cancellation leaves fewer
-    than 30 guard digits at precision seq.dps.
+    """Order-``order`` transform of ``seq`` at index n (data through n +
+    order), exact over the binary values given and rounded once at seq.dps.
+    Warns when the weights leave fewer than 30 of the inputs' digits.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
     if n < seq.start or n + order > seq.last:
         raise ValueError(
             f"transform at n={n} needs entries {n}..{n + order}, "
             f"sequence covers {seq.start}..{seq.last}")
-    kfact = [factorial(k) * factorial(order - k) for k in range(order + 1)]
-    cancel = sum(Fraction((n + k) ** order, kf) for k, kf in enumerate(kfact))
-    guard = seq.dps - len(str(int(cancel)))
+    exact = {m: Fraction(*to_rational(seq[m]._mpf_))
+             for m in range(n, n + order + 1)}
+    value = _round([((1, 0, 1), exact)], order, n, seq.dps)
+    guard = seq.dps - len(str(sum(comb(order, k) * (n + k) ** order
+                                  for k in range(order + 1)) // factorial(order)))
     if guard < 30:
         warnings.warn(
             f"only {guard} guard digits at dps={seq.dps} for order "
             f"{order} at n={n}", PrecisionWarning, stacklevel=2)
-    out = []
-    with mpmath.workdps(seq.dps + _GUARD):
-        for j in range(seq.start, n + 1):
-            acc = mpmath.mpf(0)
-            for k in range(order + 1):
-                w = Fraction((j + k) ** order * (-1) ** (k + order), kfact[k])
-                acc += rational_to_float(w, seq.dps + _GUARD) * seq[j + k]
-            out.append(acc)
-    with mpmath.workdps(seq.dps):
-        vals = tuple(+x for x in out)
-    transformed = FloatSeq(seq.start, vals, seq.dps)
-    return RichardsonResult(order, n, transformed[n], transformed)
+    return RichardsonResult(order, n, value)
 
 
 def matched_digits(value: mpmath.mpf, target: mpmath.mpf, dps: int) -> int:
@@ -158,43 +208,6 @@ class StokesEstimate:
     transform: RichardsonResult
 
 
-def _back_sequence(n_max: int, order: int, dps: int) -> FloatSeq:
-    """(-1)^n w_n with w_n = 2 pi lam^n v_{n,2}/Gamma(n) minus the forward
-    (S') part of its expansion, truncated at min(n//2, table width)."""
-    top = n_max + order
-    table = vk_table(top, 3)
-    row2, row3 = table.row(2), table.row(3)
-    width = top // 2
-    lam_pow_3 = []  # v_{l,3} lam^l, exact
-    power = QF3(1)
-    for l in range(width + 1):
-        lam_pow_3.append(row3[l] * power)
-        power = power * HALF_ACTION
-    vals = []
-    with mpmath.workdps(dps + _GUARD):
-        two_pi = 2 * mpmath.pi
-        three_sqrt6 = 3 * mpmath.sqrt(6)
-        power = QF3(1)
-        fact = 1
-        for n in range(1, top + 1):
-            power = power * HALF_ACTION
-            if n > 1:
-                fact *= n - 1
-            lead = two_pi * (power * row2[n] * Fraction(1, fact)).to_float(dps + _GUARD)
-            cut = min(n // 2, width, n - 1)
-            brace = QF3(0)
-            prod = Fraction(1)
-            for l in range(cut + 1):
-                if l:
-                    prod *= n - l
-                brace = brace + lam_pow_3[l] / prod
-            w = lead - three_sqrt6 * brace.to_float(dps + _GUARD)
-            vals.append(w if n % 2 == 0 else -w)
-    with mpmath.workdps(dps):
-        vals = tuple(+x for x in vals)
-    return FloatSeq(1, vals, dps)
-
-
 def estimate_stokes(which: str, n_max: int = 250, order: int = 30,
                     dps: int = DEFAULT_DPS) -> StokesEstimate:
     """Estimate a Stokes constant by Richardson extrapolation.
@@ -202,25 +215,21 @@ def estimate_stokes(which: str, n_max: int = 250, order: int = 30,
     ``which`` is "sprime" (limit -i S' = sqrt6, from the s-sequence) or
     "sminus1" (limit -i S_-1 = -sqrt6/12, from the k = 2 table row).
     """
-    if which == "sprime":
-        seq = s_seq(n_max + order, dps)
-        with mpmath.workdps(dps):
-            target = mpmath.sqrt(6)
-    elif which == "sminus1":
-        seq = _back_sequence(n_max, order, dps)
-        with mpmath.workdps(dps):
-            target = -mpmath.sqrt(6) / 12
-    else:
+    probe = {"sprime": "s", "sminus1": "sminus1"}.get(which)
+    if probe is None:
         raise ValueError("which must be 'sprime' or 'sminus1'")
-    result = richardson(seq, order, n_max)
-    return StokesEstimate(result.value, target,
-                          matched_digits(result.value, target, dps), result)
+    value = _round(_probe(probe, n_max, n_max + order), order, n_max, dps)
+    with mpmath.workdps(dps):
+        target = mpmath.sqrt(6) / (1 if probe == "s" else -12)
+    return StokesEstimate(value, target, matched_digits(value, target, dps),
+                          RichardsonResult(order, n_max, value))
 
 
 def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
                      dps: int = DEFAULT_DPS) -> list[tuple]:
     """(n, transform values per order) rows behind the convergence plots."""
-    builder = {"s": s_seq, "r": r_seq}[which]
-    seq = builder(n_max + max(orders), dps)
-    columns = [richardson(seq, N, n_max).transformed for N in orders]
-    return [(n, *(col[n] for col in columns)) for n in range(1, n_max + 1)]
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    parts = _probe(which, 1, n_max + max(orders))
+    return [(n, *(_round(parts, N, n, dps) for N in orders))
+            for n in range(1, n_max + 1)]

@@ -2,7 +2,8 @@
 its measured detail (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Criterion 4 is split.  04a checks the digit-agreement claims against the
-limits sqrt6 and -1/5.  04b pins the four order-20/30 transforms at n = 250
+limits sqrt6 and -1/5, and that each transform is the exact one rounded
+once.  04b pins the four order-20/30 transforms at n = 250
 to an exact evaluation of the defining formula, and holds four quoted
 ~30-digit reference strings to the digit counts their source claims.  The
 strings came with the first version of this suite; where they were quoted
@@ -22,7 +23,7 @@ import pytest
 from crosscap.asymptotics import asym_u, asym_v, relative_error
 from crosscap.exactnum import QF3, SymConst, rational_to_float
 from crosscap.extrapolation import (FloatSeq, estimate_stokes, matched_digits,
-                                    r_seq, richardson, s_seq)
+                                    probe_richardson, richardson)
 from crosscap.sequences import intersection_number, p_of_g, t_of_g, u_seq, v_seq
 from crosscap.specgeom import quadrangulation_counts
 from crosscap.transseries import seed_v0k, vk_table, vpm_series
@@ -84,14 +85,8 @@ def test_acceptance_03_quadrangulation_counts():
 
 @pytest.fixture(scope="module")
 def transforms_at_250():
-    seq_s = s_seq(280, DPS)
-    seq_r = r_seq(280, DPS)
-    return {
-        "s20": richardson(seq_s, 20, 250).value,
-        "s30": richardson(seq_s, 30, 250).value,
-        "r20": richardson(seq_r, 20, 250).value,
-        "r30": richardson(seq_r, 30, 250).value,
-    }
+    return {key: probe_richardson(key[0], int(key[1:]), 250, DPS).value
+            for key in ("s20", "s30", "r20", "r30")}
 
 
 def test_acceptance_04a_transform_digit_matches(transforms_at_250):
@@ -109,11 +104,23 @@ def test_acceptance_04a_transform_digit_matches(transforms_at_250):
     assert d_r30 >= 29
     est = estimate_stokes("sprime", n_max=250, order=30, dps=DPS)
     assert est.digits >= 30
+    # rounded once: each value within 10^(1 - DPS) of the exact transform
+    v = v_seq(280)
+    values = dict(transforms_at_250, sprime=est.value)
+    worst = 0
+    for key, value in values.items():
+        probe, order = ("s", 30) if key == "sprime" else (key[0], int(key[1:]))
+        exact, _ = _exact_transform(v, probe, order, 250)
+        with mpmath.workdps(DPS + 60):
+            rel = abs(value / exact - 1)
+        assert rel < mpmath.mpf(10) ** (1 - DPS), (key, mpmath.nstr(rel, 3))
+        worst = max(worst, rel)
     dt = time.monotonic() - t0
     assert dt < 180
     _report("04a", f"digit matches s20={d_s20} s30={d_s30} (sqrt6), "
                    f"r20={d_r20} r30={d_r30} (-1/5), sprime estimate "
-                   f"{est.digits} digits; in {dt:.1f}s")
+                   f"{est.digits} digits; all within {mpmath.nstr(worst, 2)} "
+                   f"of exact; in {dt:.1f}s")
 
 
 def _exact_transform(v, probe: str, order: int, n: int):
@@ -148,12 +155,13 @@ def _exact_transform(v, probe: str, order: int, n: int):
 def test_acceptance_04b_reference_digit_strings(transforms_at_250):
     """The four transforms at n = 250: exact pin and quoted digit strings.
 
-    Exact pin: each transform agrees with ``_exact_transform`` (no
-    ``richardson``/``s_seq``/``r_seq``) to within 10^-(DPS - c - 10), c the
-    cancellation digits (36 at N = 20, 50 at N = 30).  Measured gaps at
-    DPS = 200: 1.7e-166 (s20), 1.9e-153 (s30), 2.8e-167 (r20), 9.6e-155
-    (r30).  The same transform taken at n = 249 or at order 21 is 4e-32 to
-    2e-27 away and fails.
+    Exact pin: each transform (``probe_richardson``, the CLI's path) agrees
+    with ``_exact_transform`` (no crosscap transform code) to within
+    10^-(DPS - c - 10), c the cancellation digits (36 at N = 20, 50 at
+    N = 30).  Measured gaps at DPS = 200: 1.3e-201 (s20), 1.2e-201 (s30),
+    4.2e-203 (r20), 1.0e-202 (r30); 04a holds them to 10^(1 - DPS)
+    relative.  The same transform taken at n = 249 or at order 21 is 4e-32
+    to 2e-27 away and fails.
 
     Quoted strings: each must match the computed value to the digit count
     its source claims for that estimate, the counts 04a holds against the
@@ -271,13 +279,42 @@ def test_acceptance_07_asymptotics_properties():
                   f"on 20..100 in {dt:.1f}s")
 
 
+def _exact_sminus1(n: int, order: int):
+    """estimate_stokes("sminus1", n, order) from its definition, the order-N
+    transform at n of (-1)^m [2 pi lam^m v_{m,2} / Gamma(m) - 3 sqrt6 B_m],
+    B_m = sum_{l <= min(m//2, (n+N)//2, m-1)} v_{l,3} lam^l / prod_{j<=l}
+    (m - j), lam = 4 sqrt3 / 5: two exact Q(sqrt3) sums, combined once at
+    DPS + 100 digits since the two parts cancel ~17 digits."""
+    lam = QF3(0, Fraction(4, 5))
+    top = n + order
+    table = vk_table(top, 3)
+    lead, brace = QF3(0), QF3(0)
+    for k in range(order + 1):
+        m = n + k
+        w = Fraction((-1) ** (k + order + m) * m ** order,
+                     factorial(k) * factorial(order - k))
+        lead = lead + w * lam ** m * table.value(m, 2) / factorial(m - 1)
+        prod = 1
+        for l in range(min(m // 2, top // 2, m - 1) + 1):
+            prod *= m - l if l else 1
+            brace = brace + w * table.value(l, 3) * lam ** l / prod
+    with mpmath.workdps(DPS + 100):
+        return (2 * mpmath.pi * lead.to_float(DPS + 100)
+                - 3 * mpmath.sqrt(6) * brace.to_float(DPS + 100))
+
+
 def test_acceptance_08_s_minus1_estimate():
     t0 = time.monotonic()
     est = estimate_stokes("sminus1", n_max=100, order=10, dps=DPS)
     assert est.digits >= 6
+    exact = _exact_sminus1(100, 10)
+    with mpmath.workdps(DPS + 100):
+        rel = abs(est.value / exact - 1)
+    assert rel < mpmath.mpf(10) ** (1 - DPS), mpmath.nstr(rel, 3)
     dt = time.monotonic() - t0
     assert dt < 300
-    _report("08", f"-sqrt6/12 matched to {est.digits} digits in {dt:.1f}s")
+    _report("08", f"-sqrt6/12 matched to {est.digits} digits, "
+                  f"{mpmath.nstr(rel, 2)} from exact, in {dt:.1f}s")
 
 
 def test_acceptance_09_richardson_polynomial_exactness():

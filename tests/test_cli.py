@@ -1,8 +1,10 @@
 import json
 
+import mpmath
 import pytest
 
 from crosscap.cli import run
+from crosscap.extrapolation import probe_richardson
 
 
 def invoke(capsys, *argv):
@@ -171,3 +173,33 @@ def test_transseries_json_rows(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["values"] == [["-1\u221a3"], ["1"], ["-1/6\u221a3"]]
+
+
+def test_transform_domain_is_a_usage_error(capsys):
+    for argv in (("richardson", "--target", "s", "--n", "0", "--order", "2"),
+                 ("richardson", "--target", "r", "--n", "5", "--order", "-1"),
+                 ("stokes", "--which", "sprime", "--n", "0"),
+                 ("stokes", "--which", "sminus1", "--order", "-2"),
+                 ("plotdata", "unorquot", "--nmax", "0"),
+                 ("plotdata", "firstcorr", "--nmax", "-4")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "must be at least" in err, argv
+
+
+def test_bad_env_precision_is_a_usage_error(capsys, monkeypatch):
+    for raw in ("abc", "", "12.5", "10"):
+        monkeypatch.setenv("CROSSCAP_PREC", raw)
+        code, out, err = invoke(capsys, "quad", "--n", "3")
+        assert (code, out) == (2, ""), raw
+        assert "--prec" in err, raw
+
+
+def test_richardson_cli_prints_the_exact_transform(capsys):
+    # order 12 at n = 60 cancels ~14 digits, so a transform of s_n rounded
+    # to 40 digits would print wrong trailing digits here
+    code, out, _ = invoke(capsys, "richardson", "--target", "s",
+                          "--n", "60", "--order", "12", "--prec", "40")
+    assert code == 0
+    value = probe_richardson("s", 12, 60, 40).value
+    assert out.splitlines()[1] == mpmath.nstr(value, 40, strip_zeros=True)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscap.exactnum import rational_to_float
-from crosscap.extrapolation import (FloatSeq, PrecisionWarning, estimate_stokes,
-                                    matched_digits, r_seq, richardson, s_seq,
+from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _transform,
+                                    estimate_stokes, matched_digits,
+                                    probe_richardson, r_seq, richardson, s_seq,
                                     convergence_rows)
 
 
@@ -89,13 +91,13 @@ class TestRichardson:
                 assert abs(res.value - rational_to_float(coeffs[0], dps + 10)) < tol
 
     def test_transformed_prefix(self):
-        seq = s_seq(40, 50)
-        res = richardson(seq, 5, 30)
-        assert res.transformed.start == 1
-        assert res.transformed.last == 30
-        assert res.value == res.transformed[30]
-        single = richardson(seq, 5, 12)
-        assert single.value == res.transformed[12]
+        # row n of the convergence rows is the point transform at n
+        for which in ("s", "r"):
+            rows = convergence_rows(which, n_max=30, orders=(0, 5), dps=50)
+            assert [row[0] for row in rows] == list(range(1, 31))
+            for n in (1, 12, 30):
+                assert rows[n - 1][2] == probe_richardson(which, 5, n, 50).value
+                assert rows[n - 1][1] == probe_richardson(which, 0, n, 50).value
 
     def test_insufficient_length(self):
         seq = s_seq(20, 40)
@@ -141,7 +143,6 @@ class TestReproducibility:
         a = richardson(seq, 8, 40)
         b = richardson(seq, 8, 40)
         assert a.value == b.value
-        assert a.transformed.values == b.transformed.values
         again = richardson(s_seq(50, 60), 8, 40)
         assert again.value == a.value
 
@@ -184,3 +185,39 @@ class TestSectionRows:
         assert rows[0][1] == seq[1]
         rows_r = convergence_rows("r", n_max=8, orders=(0, 1), dps=40)
         assert len(rows_r[0]) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_returns_constant_term_exactly(data):
+    # the order-N kernel annihilates 1/n^j for 1 <= j <= N exactly
+    order = data.draw(st.integers(0, 12))
+    coeffs = data.draw(st.lists(
+        st.fractions(-10**6, 10**6, max_denominator=10**4),
+        min_size=1, max_size=order + 1))
+    n = data.draw(st.integers(1, 400))
+    x = {m: sum((c / Fraction(m) ** j for j, c in enumerate(coeffs)),
+                Fraction(0))
+         for m in range(n, n + order + 1)}
+    assert Fraction(*_transform(x, order, n)) == coeffs[0]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("call", [
+        lambda: estimate_stokes("sprime", 0, 5, 40),
+        lambda: estimate_stokes("sminus1", 0, 5, 40),
+        lambda: estimate_stokes("sprime", 10, -1, 40),
+        lambda: estimate_stokes("sminus1", 10, -1, 40),
+        lambda: probe_richardson("r", 3, 0, 40),
+        lambda: probe_richardson("s", -1, 5, 40),
+        lambda: convergence_rows("s", 0, (0, 1), 40),
+        lambda: convergence_rows("r", 5, (0, -1), 40),
+        lambda: s_seq(0, 40),
+        lambda: r_seq(-3, 40),
+        lambda: richardson(s_seq(10, 40), -1, 3),
+        lambda: richardson(FloatSeq(0, tuple(mpmath.mpf(1) for _ in range(5)),
+                                    40), 2, 0),
+    ])
+    def test_rejects_n_below_one_or_negative_order(self, call):
+        with pytest.raises(ValueError):
+            call()
