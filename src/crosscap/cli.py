@@ -69,25 +69,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", parents=[common],
                        help="exact sequence prefix")
     p.add_argument("name", choices=("u", "v", "t", "p", "mu", "nu"))
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_int_at_least(0), required=True,
                    help="last index (for p: twice the surface type)")
     p.add_argument("--float", dest="float_dps", type=_int_at_least(MIN_DPS),
                    metavar="P", help="also render values at P digits")
 
     p = sub.add_parser("transseries", parents=[common],
                        help="multi-instanton table v[n,k]")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(0), required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
 
     p = sub.add_parser("vpm", parents=[common],
                        help="factorization series v_plus / v_minus")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("asym", parents=[common],
                        help="asymptotic value vs exact")
     p.add_argument("name", choices=("u", "v", "vk"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trunc", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--trunc", type=_int_at_least(0), required=True)
     p.add_argument("--k", type=int, default=None,
                    help="sector (vk only)")
 
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quad", parents=[common],
                        help="rooted quadrangulation counts of RP^2")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--plain", action="store_true",
                    help="one integer per line")
 
@@ -146,7 +146,7 @@ def _emit(args, values, rows, header, lines, precision=None, params=None):
 
 def _cmd_seq(args, dps: int) -> None:
     name, n = args.name, args.n
-    if n < 0 or (name == "p" and n < 1):
+    if name == "p" and n < 1:
         raise ValueError("--n out of range")
     fdps = args.float_dps
     if name == "u":
@@ -184,8 +184,6 @@ def _cmd_seq(args, dps: int) -> None:
 
 
 def _cmd_transseries(args, dps: int) -> None:
-    if args.k < 0 or args.n < 0:
-        raise ValueError("--k and --n must be non-negative")
     table = vk_table(args.n, args.k)
     rows = [(k, n, str(table.value(n, k)))
             for k in range(args.k + 1) for n in range(args.n + 1)]
@@ -257,8 +255,6 @@ def _cmd_stokes(args, dps: int) -> None:
 
 
 def _cmd_quad(args, dps: int) -> None:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     counts = quadrangulation_counts(args.n)
     rows = list(enumerate(counts, start=1))
     if args.plain:

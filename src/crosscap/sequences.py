@@ -10,44 +10,98 @@ orientable-surface constants t_g, the non-orientable constants p_g, and the
 psi-class intersection numbers are exact one-liners.
 
 Both builders cache: asking for N after M < N reuses the first M+1 entries.
+The recursions run on scaled integers (U_m = 96^m u_m and
+R_m = 8^m sqrt3^(m-1) v_m); an entry becomes a Fraction or QF3 once, when
+it is added to the cache.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import factorial
 
 from .exactnum import QF3, SymConst
 
-_HALF_INV_SQRT3 = QF3(0, 2).inverse()  # 1/(2*sqrt3)
+# Held while a cached table grows.  A hit reads a prefix that was published
+# whole by one list.extend and takes no lock; the nested tables a build
+# needs are filled (each under the lock) before the lock is taken.
+_EXTEND_LOCK = threading.Lock()
+
+
+def _half_self_convolution(xs: list[int], m: int) -> int:
+    """(1/2) sum_{k=1}^{m-1} xs[k] xs[m-k], each product taken once.
+
+    Exact when xs[m/2] is even (m even), as every U_k and R_k, k >= 1, is.
+    """
+    acc = sum(map(int.__mul__, xs[1:(m + 1) // 2], xs[m - 1:m // 2:-1]))
+    return acc + (xs[m // 2] ** 2 >> 1 if m % 2 == 0 else 0)
+
+
+def _scaled_int(q: Fraction, den: int) -> int:
+    """The integer q*den; den must be a multiple of q's denominator."""
+    return q.numerator * (den // q.denominator)
+
+
+def _from_scaled(num: int, den: int, e: int) -> QF3:
+    """num / (den sqrt3^e): a rational for even e, a rational times sqrt3
+    for odd e."""
+    q = Fraction(num, den * 3 ** ((e + 1) // 2))
+    return QF3(q) if e % 2 == 0 else QF3(0, q)
+
+
+def _to_scaled(x: QF3, den: int, e: int) -> int:
+    """The integer num with x = num / (den sqrt3^e), the inverse of
+    ``_from_scaled``."""
+    return _scaled_int(x.b if e % 2 else x.a, den * 3 ** ((e + 1) // 2))
+
+
+def _scaled_u(u_values: list[Fraction]) -> list[int]:
+    """U_m = 96^m u_m, integers."""
+    return [_scaled_int(x, 96 ** m) for m, x in enumerate(u_values)]
+
+
+def _scaled_v(v_values: list[QF3]) -> list[int]:
+    """R_m = 8^m sqrt3^(m-1) v_m, integers (R_0 = -1)."""
+    return [_to_scaled(x, 8 ** m, m - 1) for m, x in enumerate(v_values)]
 
 
 def extend_u(values: list[Fraction], n: int) -> None:
-    """Grow a u-recursion table in place through index n."""
-    if not values:
-        values.append(Fraction(1))
-    for m in range(len(values), n + 1):
-        acc = Fraction(0)
-        for k in range(1, m):
-            acc += values[k] * values[m - k]
-        values.append(Fraction(25 * (m - 1) ** 2 - 1, 48) * values[m - 1]
-                      - acc / 2)
+    """Grow a u-recursion table in place through index n.
+
+    The recursion runs on the integers U_m = 96^m u_m,
+
+        U_m = 2(25(m-1)^2 - 1) U_{m-1} - (1/2) sum_{k=1}^{m-1} U_k U_{m-k},
+
+    and the new entries are appended by one ``list.extend``.
+    """
+    big = _scaled_u(values) or [1]
+    for m in range(len(big), n + 1):
+        big.append(2 * (25 * (m - 1) ** 2 - 1) * big[m - 1]
+                   - _half_self_convolution(big, m))
+    values.extend([Fraction(big[m], 96 ** m) for m in range(len(values), n + 1)])
 
 
 def extend_v(values: list[QF3], u_values: list[Fraction], n: int) -> None:
     """Grow a v-recursion table in place through index n.
 
-    ``u_values`` must cover indices up to n//2.
+    ``u_values`` must cover indices up to n//2.  The recursion runs on the
+    integers R_m = 8^m sqrt3^(m-1) v_m, R_0 = -1,
+
+        R_m = 2(5m-6) R_{m-1} + (1/2) sum_{k=1}^{m-1} R_k R_{m-k}
+              - [m even] 2^(m/2-1) U_{m/2},
+
+    and the new entries are appended by one ``list.extend``.
     """
-    if not values:
-        values.append(QF3(0, -1))
-    for m in range(len(values), n + 1):
-        acc = QF3(0)
-        for k in range(1, m):
-            acc = acc + values[k] * values[m - k]
-        u_term = QF3(-3 * u_values[m // 2]) if m % 2 == 0 else QF3(0)
-        values.append(_HALF_INV_SQRT3
-                      * (u_term + Fraction(5 * m - 6, 2) * values[m - 1] + acc))
+    big_u = _scaled_u(u_values[: n // 2 + 1])
+    big = _scaled_v(values) or [-1]
+    for m in range(len(big), n + 1):
+        r = 2 * (5 * m - 6) * big[m - 1] + _half_self_convolution(big, m)
+        if m % 2 == 0:
+            r -= big_u[m // 2] << (m // 2 - 1)
+        big.append(r)
+    values.extend([_from_scaled(big[m], 8 ** m, m - 1)
+                   for m in range(len(values), n + 1)])
 
 
 _U: list[Fraction] = []
@@ -59,7 +113,9 @@ def u_seq(n: int) -> list[Fraction]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if len(_U) <= n:
-        extend_u(_U, n)
+        with _EXTEND_LOCK:
+            if len(_U) <= n:
+                extend_u(_U, n)
     return _U[: n + 1]
 
 
@@ -68,8 +124,10 @@ def v_seq(n: int) -> list[QF3]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if len(_V) <= n:
-        u_seq(n // 2)
-        extend_v(_V, _U, n)
+        u = u_seq(n // 2)
+        with _EXTEND_LOCK:
+            if len(_V) <= n:
+                extend_v(_V, u, n)
     return _V[: n + 1]
 
 

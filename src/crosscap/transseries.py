@@ -10,7 +10,9 @@ follow
                 + sum_{l=2}^{n+1} v_{n+1-l,k} v_l
                 + 1/2 sum_{i=1}^{k-1} sum_{l=0}^{n+1} v_{l,i} v_{n+1-l,k-i} }
 
-seeded by the closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k).
+seeded by the closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k).  These
+recursions, and those of mu and nu, run on scaled integers; an entry
+becomes a QF3 once, when it is added to the cache.
 
 ``vpm_series`` recovers the two formal power series v_plus, v_minus with
 
@@ -23,12 +25,13 @@ by solving the k = 1 and k = 2 identities order by order.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .exactnum import QF3
-from .sequences import u_seq, v_seq
+from .sequences import (_EXTEND_LOCK, _from_scaled, _scaled_u, _scaled_v,
+                        _to_scaled, u_seq, v_seq)
 from .series import Series
 
-_TWO_SQRT3 = QF3(0, 2)
 _QZERO = QF3(0)
 
 
@@ -40,37 +43,64 @@ class TransseriesError(ValueError):
         self.order = order
 
 
+def _mu_den(l: int) -> int:
+    return 320 ** l * factorial(l)
+
+
 def extend_mu(values: list[QF3], u_values: list[Fraction], n: int) -> None:
     """Grow a mu-recursion table in place through index n.
 
-    ``u_values`` must cover indices up to (n+1)//2.
+    ``u_values`` must cover indices up to (n+1)//2.  The recursion runs on
+    the integers M_l = 320^l l! sqrt3^l mu_l, M_0 = 1,
+
+        M_l = sum_{j=1}^{(l+1)/2} 2^(7j-4) 5^(2j-2) (l-1)!/(l-2j+1)!
+                  U_j M_{l-2j+1}  -  (10l-9)(10l-1) M_{l-1},
+
+    the sum taken in Horner form, and the new entries are appended by one
+    ``list.extend``.
     """
-    if not values:
-        values.append(QF3(1))
-    for l in range(len(values), n + 1):
-        acc = _QZERO
-        for k in range(l):
-            idx2 = l - k + 1  # twice the u-index; odd means u vanishes
-            if idx2 % 2 == 0:
-                acc = acc + values[k] * u_values[idx2 // 2]
-        inner = (Fraction(192, 25) * acc
-                 - (Fraction(l) - Fraction(9, 10))
-                 * (Fraction(l) - Fraction(1, 10)) * values[l - 1])
-        values.append(QF3(0, 16 * l).inverse() * 5 * inner)
+    big_u = _scaled_u(u_values[: (n + 1) // 2 + 1])
+    big = [_to_scaled(x, _mu_den(l), l) for l, x in enumerate(values)] or [1]
+    for l in range(len(big), n + 1):
+        acc = 0
+        for j in range((l + 1) // 2, 0, -1):
+            acc = acc * (3200 * (l - 2 * j + 1) * (l - 2 * j)) \
+                + big_u[j] * big[l - 2 * j + 1]
+        big.append(8 * acc - (10 * l - 9) * (10 * l - 1) * big[l - 1])
+    values.extend([_from_scaled(big[l], _mu_den(l), l)
+                   for l in range(len(values), n + 1)])
+
+
+def _vk_den(n: int, k: int) -> int:
+    """40^n n! ((k-1)!)^n 2^(k-1): the rational part of the scale of v_{n,k}."""
+    return 40 ** n * factorial(n) * factorial(k - 1) ** n << (k - 1)
+
+
+def _scaled_nu(nu_values: list[QF3]) -> list[int]:
+    """S_m = 40^m m! sqrt3^m nu_m, integers (S_0 = 1)."""
+    return [_to_scaled(x, _vk_den(m, 1), m) for m, x in enumerate(nu_values)]
 
 
 def extend_nu(values: list[QF3], v_values: list[QF3], n: int) -> None:
     """Grow a nu-recursion table in place through index n.
 
-    ``v_values`` must cover indices up to n+1.
+    ``v_values`` must cover indices up to n+1.  The recursion runs on the
+    integers S_m = 40^m m! sqrt3^m nu_m, S_0 = 1,
+
+        S_m = -sum_{k<m} 5^(m-1-k) (m-1)!/k! (R_{m+1-k}/2) S_k,
+
+    the sum taken in Horner form (R_j is even for j >= 1), and the new
+    entries are appended by one ``list.extend``.
     """
-    if not values:
-        values.append(QF3(1))
-    for m in range(len(values), n + 1):
-        acc = _QZERO
+    half_r = [r >> 1 for r in _scaled_v(v_values[: n + 2])]
+    big = _scaled_nu(values) or [1]
+    for m in range(len(big), n + 1):
+        acc = 0
         for k in range(m):
-            acc = acc + v_values[m + 1 - k] * values[k]
-        values.append(Fraction(-4, 5 * m) * acc)
+            acc = acc * (5 * k) + half_r[m + 1 - k] * big[k]
+        big.append(-acc)
+    values.extend([_from_scaled(big[m], _vk_den(m, 1), m)
+                   for m in range(len(values), n + 1)])
 
 
 _MU: list[QF3] = []
@@ -82,7 +112,10 @@ def mu_seq(n: int) -> list[QF3]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if len(_MU) <= n:
-        extend_mu(_MU, u_seq((n + 1) // 2), n)
+        u = u_seq((n + 1) // 2)
+        with _EXTEND_LOCK:
+            if len(_MU) <= n:
+                extend_mu(_MU, u, n)
     return _MU[: n + 1]
 
 
@@ -91,7 +124,10 @@ def nu_seq(n: int) -> list[QF3]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if len(_NU) <= n:
-        extend_nu(_NU, v_seq(n + 1), n)
+        v = v_seq(n + 1)
+        with _EXTEND_LOCK:
+            if len(_NU) <= n:
+                extend_nu(_NU, v, n)
     return _NU[: n + 1]
 
 
@@ -99,7 +135,7 @@ def seed_v0k(k: int) -> QF3:
     """Closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k), k >= 1."""
     if k < 1:
         raise ValueError("k must be positive")
-    return (_TWO_SQRT3 ** (1 - k)) * ((-1) ** (k - 1))
+    return _from_scaled((-1) ** (k - 1), 1 << (k - 1), k - 1)
 
 
 class VkTable:
@@ -126,21 +162,54 @@ class VkTable:
 _VK_EXTRA: list[list[QF3]] = []  # rows k >= 2, entry 0 is row k=2
 
 
-def _extend_vk_row(k: int, row: list[QF3], v: list[QF3],
-                   lower: list[list[QF3]], n_max: int) -> None:
-    if not row:
-        row.append(seed_v0k(k))
-    scale = QF3(0, -(k - 1)).inverse()  # -1/(sqrt3 (k-1))
-    for n in range(len(row) - 1, n_max):
-        acc = Fraction(5 * n, 4) * row[n]
-        for l in range(2, n + 2):
-            acc = acc + row[n + 1 - l] * v[l]
-        dbl = _QZERO
-        for i in range(1, k):
-            left, right = lower[i], lower[k - i]
-            for l in range(n + 2):
-                dbl = dbl + left[l] * right[n + 1 - l]
-        row.append(scale * (acc + dbl * Fraction(1, 2)))
+def _extend_vk_row(k: int, row: list[QF3], lower: list[list[int]],
+                   n_max: int) -> list[int]:
+    """Grow row k of the table in place through index n_max and return its
+    scaled integers W_{n,k}, n <= n_max.
+
+    With c_k = (k-1)!, the row runs on the integers
+
+        W_{n,k} = 40^n n! c_k^n 2^(k-1) sqrt3^(n+k-1) v_{n,k},
+
+    W_{0,k} = (-1)^(k-1); W_{n,1} is S_n.  For N = n+1, with the scaled
+    v-sequence R_l = ``lower[0][l]`` and W_{l,i} = ``lower[i][l]``, i < k,
+
+        -W_{N,k} = 25 (k-2)! N n (2 W_{n,k}
+                       + c_k sum_{l=2}^N 5^(l-2) c_k^(l-2) (n-1)!/(N-l)! R_l W_{N-l,k})
+                   + 1/(k-1) sum_{i=1}^{k-1} sum_{l=0}^N C(N,l)
+                       (c_k/c_i)^l (c_k/c_{k-i})^(N-l) W_{l,i} W_{N-l,k-i},
+
+    every coefficient an integer.  The terms i and k-i of the double sum
+    are equal, so each pair is taken once.  The new entries are appended by
+    one ``list.extend``.
+    """
+    c_k = factorial(k - 1)
+    big_v = lower[0]
+    big = [_to_scaled(x, _vk_den(n, k), n + k - 1)
+           for n, x in enumerate(row[: n_max + 1])] or [(-1) ** (k - 1)]
+    pairs = []
+    for i in range(1, k // 2 + 1):
+        a, b = c_k // factorial(i - 1), c_k // factorial(k - i - 1)
+        pairs.append((1 if 2 * i == k else 2,
+                      [a ** l * w for l, w in enumerate(lower[i])],
+                      [b ** l * w for l, w in enumerate(lower[k - i])]))
+    for n in range(len(big) - 1, n_max):
+        N = n + 1
+        acc = 0
+        for l in range(N, 1, -1):
+            acc = acc * (5 * (N - l) * c_k) + big_v[l] * big[N - l]
+        dbl = 0
+        for weight, xs, ys in pairs:
+            binom, conv = 1, 0
+            for l in range(N + 1):
+                conv += binom * xs[l] * ys[N - l]
+                binom = binom * (N - l) // (l + 1)
+            dbl += weight * conv
+        big.append(-(25 * factorial(k - 2) * N * n * (2 * big[n] + c_k * acc)
+                     + dbl // (k - 1)))
+    row.extend([_from_scaled(big[n], _vk_den(n, k), n + k - 1)
+                for n in range(len(row), n_max + 1)])
+    return big
 
 
 def vk_table(n_max: int, k_max: int) -> VkTable:
@@ -151,13 +220,16 @@ def vk_table(n_max: int, k_max: int) -> VkTable:
     rows: list[list[QF3]] = [v]
     if k_max >= 1:
         rows.append(nu_seq(n_max))
-    for k in range(2, k_max + 1):
-        if len(_VK_EXTRA) < k - 1:
-            _VK_EXTRA.append([])
-        row = _VK_EXTRA[k - 2]
-        if len(row) <= n_max:
-            _extend_vk_row(k, row, v, rows, n_max)
-        rows.append(row[: n_max + 1])
+    # a row never outgrows the rows below it, so row k_max is the shortest
+    if k_max >= 2 and (len(_VK_EXTRA) < k_max - 1
+                       or len(_VK_EXTRA[k_max - 2]) <= n_max):
+        with _EXTEND_LOCK:
+            lower = [_scaled_v(v), _scaled_nu(rows[1])]
+            for k in range(2, k_max + 1):
+                if len(_VK_EXTRA) < k - 1:
+                    _VK_EXTRA.append([])
+                lower.append(_extend_vk_row(k, _VK_EXTRA[k - 2], lower, n_max))
+    rows += [row[: n_max + 1] for row in _VK_EXTRA[: k_max - 1]]
     return VkTable(rows)
 
 

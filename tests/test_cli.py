@@ -144,6 +144,15 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "seq", "u", "--n", "notanint")[0] == 2
     assert invoke(capsys, "seq", "u", "--n", "3", "--prec", "10")[0] == 2
     assert invoke(capsys, "seq", "u", "--n", "3", "--float", "5")[0] == 2
+    # out-of-domain sizes are rejected by the parser, before any work
+    assert invoke(capsys, "seq", "u", "--n", "-1")[0] == 2
+    assert invoke(capsys, "transseries", "--k", "-1", "--n", "3")[0] == 2
+    assert invoke(capsys, "transseries", "--k", "1", "--n", "-1")[0] == 2
+    assert invoke(capsys, "vpm", "--order", "-1")[0] == 2
+    assert invoke(capsys, "vpm", "--order", "0")[0] == 2
+    assert invoke(capsys, "asym", "v", "--n", "0", "--trunc", "0")[0] == 2
+    assert invoke(capsys, "asym", "v", "--n", "3", "--trunc", "-1")[0] == 2
+    assert invoke(capsys, "quad", "--n", "0")[0] == 2
 
 
 def test_env_default_precision(capsys, monkeypatch):
