@@ -146,8 +146,6 @@ def _emit(args, values, rows, header, lines, precision=None, params=None):
 
 def _cmd_seq(args, dps: int) -> None:
     name, n = args.name, args.n
-    if name == "p" and n < 1:
-        raise ValueError("--n out of range")
     fdps = args.float_dps
     if name == "u":
         pairs = list(enumerate(u_seq(n)))
@@ -301,13 +299,20 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "seq" and args.name == "p" and args.n < 1:
+            parser.error("argument --n: must be at least 1 for p")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # exact values are printed whole, however many digits they have
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         _HANDLERS[args.command](args, args.prec)
     except Exception as exc:
         sys.stderr.write(f"crosscap: {exc}\n")
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

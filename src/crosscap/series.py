@@ -1,15 +1,21 @@
 """Truncated Laurent/power series over an exact coefficient field.
 
-Coefficients are ``fractions.Fraction`` or :class:`~crosscap.exactnum.QF3`
-(anything with exact +, -, *, / and a zero test works).  A series knows its
-coefficients for exponents in ``[low, order]`` and tracks the truncation
-order pessimistically: addition keeps ``min`` of the known orders, and the
-product of f and g is known through ``min(f.order + g.low, g.order + f.low)``.
+Coefficients are ``fractions.Fraction`` (or int) or
+:class:`~crosscap.exactnum.QF3`.  A series knows its coefficients for
+exponents in ``[low, order]`` and tracks the truncation order
+pessimistically: addition keeps ``min`` of the known orders, and the product
+of f and g is known through ``min(f.order + g.low, g.order + f.low)``.
+
+Products, reciprocals and square roots run on integers: a coefficient list
+is scaled to integer numerators over one common denominator (a QF3 list to
+two, its rational and its sqrt3 parts), the recursion sums integer
+products, and each output coefficient becomes a Fraction or QF3 once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .exactnum import QF3, sqrt_fraction
 
@@ -26,6 +32,39 @@ def _field_inverse(x):
     if isinstance(x, QF3):
         return x.inverse()
     return 1 / Fraction(x)
+
+
+def _over_qf3(*series) -> bool:
+    """Whether any of the series has QF3 coefficients."""
+    return any(isinstance(s.zero, QF3) or any(isinstance(c, QF3) for c in s.coeffs)
+               for s in series)
+
+
+def _scale(coeffs: list, qf3: bool) -> tuple[list[int], list[int] | None, int]:
+    """Integers A, B and D > 0 with coeffs[i] = (A[i] + B[i] sqrt3) / D, D
+    the lcm of the denominators; B is None when ``qf3`` is false."""
+    if qf3:
+        coeffs = [QF3._coerce(c) for c in coeffs]
+        parts = [[c.a for c in coeffs], [c.b for c in coeffs]]
+    else:
+        parts = [coeffs]
+    den = lcm(*(x.denominator for xs in parts for x in xs))
+    scaled = [[x.numerator * (den // x.denominator) for x in xs] for xs in parts]
+    return scaled[0], (scaled[1] if qf3 else None), den
+
+
+def _convolve(xs: list[int], ys: list[int], n: int) -> list[int]:
+    """The first n coefficients of the product of two integer series, each
+    known to at least n terms."""
+    return [sum(map(int.__mul__, xs[:e + 1], ys[e::-1])) for e in range(n)]
+
+
+def _unscale(re: list[int], im: list[int] | None, dens) -> list:
+    """Coefficients re[i] / dens[i], or (re[i] + im[i] sqrt3) / dens[i]
+    when ``im`` is given; one Fraction or QF3 per coefficient."""
+    if im is None:
+        return [Fraction(x, d) for x, d in zip(re, dens)]
+    return [QF3(Fraction(x, d), Fraction(y, d)) for x, y, d in zip(re, im, dens)]
 
 
 class Series:
@@ -112,35 +151,58 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product; coefficient e is the convolution sum over the operands'
+        coefficients, taken on their integer numerators over one common
+        denominator each."""
         if _is_scalar(other):
             return Series([c * other for c in self.coeffs], self.low, self.zero)
         if not isinstance(other, Series):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Series([], min(self.order, other.order) + 1, self.zero)
-        low = self.low + other.low
-        order = min(self.order + other.low, other.order + self.low)
-        coeffs = []
-        for e in range(low, order + 1):
-            acc = self.zero
-            for i in range(self.low, min(self.order, e - other.low) + 1):
-                acc = acc + self.coeffs[i - self.low] * other.coefficient(e - i)
-            coeffs.append(acc)
-        return Series(coeffs, low, self.zero)
+        n = min(len(self.coeffs), len(other.coeffs))
+        qf3 = _over_qf3(self, other)
+        a, b, d = _scale(self.coeffs[:n], qf3)
+        c, e, d2 = _scale(other.coeffs[:n], qf3)
+        re, im = _convolve(a, c, n), None
+        if qf3:
+            re = [x + 3 * y for x, y in zip(re, _convolve(b, e, n))]
+            im = [x + y for x, y in zip(_convolve(a, e, n), _convolve(b, c, n))]
+        return Series(_unscale(re, im, [d * d2] * n),
+                      self.low + other.low, self.zero)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Series":
+        """Reciprocal series, known to as many terms as ``self``.
+
+        With f = F/D (F integers, D their common denominator) the
+        coefficients are g_m = G_m D / F_0^(m+1), with G_0 = 1 and
+
+            G_m = -sum_{i=1}^m F_i F_0^(i-1) G_{m-i}.
+
+        Over Q(sqrt3), 1/f = conj(f) / (f conj(f)), conj(f) the series of
+        conjugate coefficients and f conj(f) a rational series.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of a zero series")
-        inv_lead = _field_inverse(self.coeffs[0])
-        out = [inv_lead]
-        for m in range(1, len(self.coeffs)):
-            acc = self.zero
-            for i in range(1, m + 1):
-                acc = acc + self.coeffs[i] * out[m - i]
-            out.append(-inv_lead * acc)
-        return Series(out, -self.low, self.zero)
+        if _over_qf3(self):
+            conj = Series([QF3._coerce(c).conjugate() for c in self.coeffs],
+                          self.low, self.zero)
+            norm = self * conj
+            return conj * Series([c.a for c in norm.coeffs], norm.low).inverse()
+        f, _, d = _scale(self.coeffs, False)
+        lead, power = f[0], 1
+        weighted = [0]                   # F_i F_0^(i-1), i >= 1
+        for x in f[1:]:
+            weighted.append(x * power)
+            power *= lead
+        big = [1]
+        for m in range(1, len(f)):
+            big.append(-sum(map(int.__mul__, weighted[1:m + 1], big[::-1])))
+        return Series(_unscale([d * g for g in big], None,
+                               (lead ** (m + 1) for m in range(len(f)))),
+                      -self.low, self.zero)
 
     def __truediv__(self, other):
         if _is_scalar(other):
@@ -156,7 +218,14 @@ class Series:
         """Square root, branch with positive leading coefficient.
 
         Requires an even leading exponent and a leading coefficient that is
-        the square of a rational.
+        the square of a rational r.  With the coefficients scaled to
+        integers F_m over one denominator, write f = r^2 (1 + H/E), E = F_0
+        and H_m = F_m (m >= 1); then s_0 = r and
+
+            s_m = r S_m / (2^(2m-1) E^m),
+            S_m = H_m (4E)^(m-1) - sum_{i=1}^{m-1} S_i S_{m-i},
+
+        over Q(sqrt3) with the products taken in Z[sqrt3].
         """
         if self.is_zero():
             raise SeriesError("sqrt of a zero-to-order series")
@@ -165,18 +234,28 @@ class Series:
         lead = self.coeffs[0]
         if isinstance(lead, QF3):
             root = sqrt_fraction(lead.a) if lead.b == 0 else None
-            root = None if root is None else QF3(root)
         else:
             root = sqrt_fraction(lead)
         if not root:
             raise SeriesError("leading coefficient is not a rational square")
-        half = _field_inverse(root + root)
-        out = [root]
-        for m in range(1, len(self.coeffs)):
-            acc = self.coeffs[m]
-            for i in range(1, m):
-                acc = acc - out[i] * out[m - i]
-            out.append(half * acc)
+        qf3 = _over_qf3(self)
+        h, k, _ = _scale(self.coeffs, qf3)
+        e = h[0]
+        xs, ys = [0], [0]                # S_m and, over Q(sqrt3), its sqrt3 part
+        power = 1                        # (4E)^(m-1)
+        for m in range(1, len(h)):
+            head, tail = xs[1:m], xs[m - 1:0:-1]
+            xs.append(h[m] * power - sum(map(int.__mul__, head, tail)))
+            if qf3:
+                yt = ys[m - 1:0:-1]
+                xs[m] -= 3 * sum(map(int.__mul__, ys[1:m], yt))
+                ys.append(k[m] * power - 2 * sum(map(int.__mul__, head, yt)))
+            power *= 4 * e
+        xs[0] = 1
+        dens = [1] + [e ** m << (2 * m - 1) for m in range(1, len(h))]
+        out = _unscale([root.numerator * x for x in xs],
+                       [root.numerator * y for y in ys] if qf3 else None,
+                       (root.denominator * d for d in dens))
         return Series(out, self.low // 2, self.zero)
 
     def __eq__(self, other) -> bool:

@@ -233,49 +233,60 @@ def vk_table(n_max: int, k_max: int) -> VkTable:
     return VkTable(rows)
 
 
+# The factorization pair and the two series its recursion reads, all of
+# one length: pv0 = v_plus vhat_0 and m2g = v_minus nu.  v_minus is
+# published last, and a hit reads its length.
+_PLUS: list[QF3] = []
+_MINUS: list[QF3] = []
+_PV0: list[QF3] = []
+_M2G: list[QF3] = []
+
+
+def _dot(xs, ys) -> QF3:
+    """sum xs[i] ys[i] over the shorter of the two."""
+    return sum(map(QF3.__mul__, xs, ys), _QZERO)
+
+
+def _extend_vpm(v: list[QF3], nu: list[QF3], row2: list[QF3], order: int) -> None:
+    """Grow the cached pair through x^-order, one order at a time.
+
+    With g = 1 - v_plus vhat_0, the k = 1 identity reads v_minus g = nu and
+    the k = 2 identity v_plus v_minus (v_minus g) = -vhat_2, so with
+    pv0 = v_plus vhat_0 and m2g = v_minus nu, at order n
+
+        pv0_n   = sum_{i<=n-2} plus_i v_{n-i},
+        minus_n = nu_n + sum_{i<=n-2} minus_i pv0_{n-i},
+        m2g_n   = sum_{i<=n} minus_i nu_{n-i},
+        plus_n  = -(v_{n,2} + sum_{i<n} plus_i m2g_{n-i}) / m2g_0,
+
+    each one dot product over the orders before it.  The new entries of
+    the four lists are appended by one ``list.extend`` each.
+    """
+    plus, minus, pv0, m2g = _PLUS[:], _MINUS[:], _PV0[:], _M2G[:]
+    for n in range(len(minus), order + 1):
+        pv0.append(_dot(plus, v[n:1:-1]))
+        minus.append(nu[n] + _dot(minus, pv0[n:1:-1]))
+        m2g.append(_dot(minus, nu[n::-1]))
+        plus.append((-row2[n] - _dot(plus, m2g[n:0:-1])) / m2g[0])
+    for cached, built in ((_PV0, pv0), (_M2G, m2g), (_PLUS, plus), (_MINUS, minus)):
+        cached.extend(built[len(cached):])
+
+
 def vpm_series(order: int) -> tuple[Series, Series]:
     """The factorization pair (v_plus, v_minus) through x^-order.
 
     Solved order by order from the k = 1 and k = 2 identities; the k >= 3
-    rows are then determined and serve as independent checks.
+    rows are then determined and serve as independent checks.  Cached like
+    the other tables: a call at or below a built order extends nothing.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    table = vk_table(order, 2)
-    v = v_seq(order)
-    nu = table.row(1)
-    row2 = table.row(2)
-    if not nu[0]:
-        raise TransseriesError(0, "v_{0,1} vanishes; normalization broken")
-
-    v0 = [v[n] if n >= 2 else _QZERO for n in range(order + 1)]
-    plus: list[QF3] = []
-    minus: list[QF3] = []
-
-    def conv(xs, ys, m):
-        acc = _QZERO
-        for i in range(m + 1):
-            acc = acc + xs[i] * ys[m - i]
-        return acc
-
-    for n in range(order + 1):
-        # (v_plus * vhat_0)_j needs plus[0 .. j-2] only
-        pv0 = [_QZERO if j < 2 else conv(plus + [_QZERO, _QZERO], v0, j)
-               for j in range(n + 1)]
-        m_n = nu[n]
-        for j in range(2, n + 1):
-            m_n = m_n + pv0[j] * minus[n - j]
-        minus.append(m_n)
-
-        p_tmp = plus + [_QZERO]
-        m2 = [conv(minus, minus, j) for j in range(n + 1)]
-        g = [QF3(1) if j == 0 else -(_QZERO if j < 2 else conv(p_tmp, v0, j))
-             for j in range(n + 1)]
-        m2g = [conv(m2, g, j) for j in range(n + 1)]
-        if not m2g[0]:
-            raise TransseriesError(n, "leading coefficient of v_minus^2 vanished")
-        rest = conv(p_tmp, m2g, n)
-        plus.append((-row2[n] - rest) / m2g[0])
-
-    zero = _QZERO
-    return (Series(plus, 0, zero), Series(minus, 0, zero))
+    if len(_MINUS) <= order:
+        table = vk_table(order, 2)
+        if not table.value(0, 1):
+            raise TransseriesError(0, "v_{0,1} vanishes; normalization broken")
+        with _EXTEND_LOCK:
+            if len(_MINUS) <= order:
+                _extend_vpm(table.row(0), table.row(1), table.row(2), order)
+    return (Series(_PLUS[: order + 1], 0, _QZERO),
+            Series(_MINUS[: order + 1], 0, _QZERO))

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import mpmath
 import pytest
@@ -153,6 +154,7 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "asym", "v", "--n", "0", "--trunc", "0")[0] == 2
     assert invoke(capsys, "asym", "v", "--n", "3", "--trunc", "-1")[0] == 2
     assert invoke(capsys, "quad", "--n", "0")[0] == 2
+    assert invoke(capsys, "seq", "p", "--n", "0")[0] == 2
 
 
 def test_env_default_precision(capsys, monkeypatch):
@@ -212,3 +214,17 @@ def test_richardson_cli_prints_the_exact_transform(capsys):
     assert code == 0
     value = probe_richardson("s", 12, 60, 40).value
     assert out.splitlines()[1] == mpmath.nstr(value, 40, strip_zeros=True)
+
+
+def test_exact_values_past_the_int_string_limit(capsys):
+    # u_128 is the first u_n with more than 640 digits, the lowest limit
+    # Python accepts; the CLI prints it and leaves the limit as it was
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = invoke(capsys, "seq", "u", "--n", "130")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 131
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -1,9 +1,13 @@
-"""The scaled-integer recursions against a QF3 reference, path independence
-of the cached tables, the parity invariant, and concurrent cache builds.
+"""The scaled-integer recursions and the integer series arithmetic against
+Fraction/QF3 references, path independence of the cached tables, the
+parity invariant, and concurrent cache builds.
 
 The reference functions below are the recursions written directly over
-``Fraction``/``QF3``; the library runs the same recursions on scaled
-integers and must reproduce them entry for entry.
+``Fraction``/``QF3``: the table recursions, the per-term ``Series``
+product, reciprocal and square root, and the O(n^3) ``vpm_series`` solve
+that rebuilds every convolution at every order.  The library runs the same
+recursions on integers, or incrementally, and must reproduce them entry for
+entry.
 """
 
 import sys
@@ -16,9 +20,10 @@ from unittest.mock import patch
 from hypothesis import given, settings, strategies as st
 
 from crosscap import sequences, transseries
-from crosscap.exactnum import QF3
+from crosscap.exactnum import QF3, sqrt_fraction
 from crosscap.sequences import u_seq, v_seq
-from crosscap.transseries import mu_seq, nu_seq, vk_table
+from crosscap.series import Series
+from crosscap.transseries import mu_seq, nu_seq, vk_table, vpm_series
 
 REF_N = 80
 MAX_ROW = 4
@@ -93,6 +98,75 @@ def ref_row(k, v, lower, n_max):
     return row
 
 
+def ref_mul(f, g):
+    low = f.low + g.low
+    order = min(f.order + g.low, g.order + f.low)
+    coeffs = []
+    for e in range(low, order + 1):
+        acc = f.zero
+        for i in range(f.low, min(f.order, e - g.low) + 1):
+            acc = acc + f.coeffs[i - f.low] * g.coefficient(e - i)
+        coeffs.append(acc)
+    return Series(coeffs, low, f.zero)
+
+
+def ref_inverse(f):
+    lead = f.coeffs[0]
+    inv_lead = lead.inverse() if isinstance(lead, QF3) else 1 / Fraction(lead)
+    out = [inv_lead]
+    for m in range(1, len(f.coeffs)):
+        acc = f.zero
+        for i in range(1, m + 1):
+            acc = acc + f.coeffs[i] * out[m - i]
+        out.append(-inv_lead * acc)
+    return Series(out, -f.low, f.zero)
+
+
+def ref_sqrt(f):
+    lead = f.coeffs[0]
+    root = QF3(sqrt_fraction(lead.a)) if isinstance(lead, QF3) \
+        else sqrt_fraction(lead)
+    half = (root + root).inverse() if isinstance(root, QF3) \
+        else 1 / (root + root)
+    out = [root]
+    for m in range(1, len(f.coeffs)):
+        acc = f.coeffs[m]
+        for i in range(1, m):
+            acc = acc - out[i] * out[m - i]
+        out.append(half * acc)
+    return Series(out, f.low // 2, f.zero)
+
+
+def ref_vpm(order):
+    table = vk_table(order, 2)
+    v, nu, row2 = table.row(0), table.row(1), table.row(2)
+    zero = QF3(0)
+    v0 = [v[n] if n >= 2 else zero for n in range(order + 1)]
+    plus, minus = [], []
+
+    def conv(xs, ys, m):
+        acc = zero
+        for i in range(m + 1):
+            acc = acc + xs[i] * ys[m - i]
+        return acc
+
+    for n in range(order + 1):
+        pv0 = [zero if j < 2 else conv(plus + [zero, zero], v0, j)
+               for j in range(n + 1)]
+        m_n = nu[n]
+        for j in range(2, n + 1):
+            m_n = m_n + pv0[j] * minus[n - j]
+        minus.append(m_n)
+        p_tmp = plus + [zero]
+        m2 = [conv(minus, minus, j) for j in range(n + 1)]
+        g = [QF3(1) if j == 0 else -(zero if j < 2 else conv(p_tmp, v0, j))
+             for j in range(n + 1)]
+        m2g = [conv(m2, g, j) for j in range(n + 1)]
+        rest = conv(p_tmp, m2g, n)
+        plus.append((-row2[n] - rest) / m2g[0])
+    return plus, minus
+
+
 @cache
 def reference():
     u = ref_u(REF_N + 1)
@@ -126,8 +200,17 @@ def fresh_caches():
     with patch.object(sequences, "_U", []), patch.object(sequences, "_V", []), \
             patch.object(transseries, "_MU", []), \
             patch.object(transseries, "_NU", []), \
-            patch.object(transseries, "_VK_EXTRA", []):
+            patch.object(transseries, "_VK_EXTRA", []), \
+            patch.object(transseries, "_PLUS", []), \
+            patch.object(transseries, "_MINUS", []), \
+            patch.object(transseries, "_PV0", []), \
+            patch.object(transseries, "_M2G", []):
         yield
+
+
+def vpm_lists(order):
+    plus, minus = vpm_series(order)
+    return plus.coeffs, minus.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +258,7 @@ def test_concurrent_builds_match_serial():
 
     def work(n):
         return v_seq(n + 20), nu_seq(n + 10), \
-            [vk_table(n, 3).row(k) for k in range(4)]
+            [vk_table(n, 3).row(k) for k in range(4)], vpm_lists(n // 4 + 5)
 
     with fresh_caches():
         serial = [work(n) for n in sizes]
@@ -205,3 +288,82 @@ def test_concurrent_builds_match_serial():
             assert race() == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# Series arithmetic and vpm_series
+# ---------------------------------------------------------------------------
+
+RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+@st.composite
+def series(draw, qf3=None, lows=st.integers(-3, 3), square_lead=False):
+    """A Fraction or QF3 series of 1..30 terms with a nonzero lead, which
+    is the square of a rational when ``square_lead``."""
+    if qf3 is None:
+        qf3 = draw(st.booleans())
+    elem = st.builds(QF3, RATIONALS, RATIONALS) if qf3 else RATIONALS
+    coeffs = draw(st.lists(elem, min_size=1, max_size=30))
+    lead = draw(RATIONALS.filter(bool))
+    lead = lead * lead if square_lead else lead
+    coeffs[0] = QF3(lead, 0 if square_lead else draw(RATIONALS)) if qf3 else lead
+    return Series(coeffs, draw(lows), QF3(0) if qf3 else Fraction(0))
+
+
+def same(f, g):
+    """Equal exponent range, coefficients and coefficient types."""
+    return (f.low, f.order, f.coeffs, [type(c) for c in f.coeffs]) \
+        == (g.low, g.order, g.coeffs, [type(c) for c in g.coeffs])
+
+
+SQUARE_LEADS = series(lows=st.sampled_from([-2, 0, 2]), square_lead=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=series(), g=series(), h=SQUARE_LEADS)
+def test_series_arithmetic_matches_reference(f, g, h):
+    assert same(f * g, ref_mul(f, g))
+    assert same(f.inverse(), ref_inverse(f))
+    assert same(h.sqrt(), ref_sqrt(h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=series(), h=SQUARE_LEADS)
+def test_series_round_trips(f, h):
+    # f f^-1 = 1 and sqrt(h)^2 = h through the order each is known to
+    one = f * f.inverse()
+    assert (one.low, one.order) == (0, len(f.coeffs) - 1)
+    assert one.coeffs == [1] + [0] * one.order
+    root = h.sqrt()
+    square = root * root
+    assert (square.low, square.order) == (h.low, h.order)
+    assert square.coeffs == h.coeffs
+
+
+VPM_N = 40
+
+
+@cache
+def vpm_reference():
+    return ref_vpm(VPM_N)
+
+
+def test_vpm_matches_reference():
+    ref = vpm_reference()
+    with fresh_caches():
+        assert vpm_lists(VPM_N) == ref
+        # a repeat at the same or a smaller order extends nothing
+        with patch.object(transseries, "_extend_vpm",
+                          side_effect=AssertionError("extended")):
+            assert vpm_lists(VPM_N) == ref
+            assert vpm_lists(7) == (ref[0][:8], ref[1][:8])
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.lists(st.integers(1, VPM_N), min_size=1, max_size=4))
+def test_vpm_stepwise_build_matches_reference(steps):
+    plus, minus = vpm_reference()
+    with fresh_caches():
+        for n in steps:
+            assert vpm_lists(n) == (plus[: n + 1], minus[: n + 1]), n

@@ -5,6 +5,7 @@ import pytest
 from crosscap.asymptotics import INSTANTON_ACTION
 from crosscap.exactnum import QF3, SQRT3
 from crosscap.sequences import u_seq, v_seq
+from crosscap.series import Series
 from crosscap.transseries import (TransseriesError, mu_seq, nu_seq, seed_v0k,
                                   vk_table, vpm_series)
 
@@ -136,27 +137,12 @@ class TestVpm:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_factorization_identity(self, k):
         # vhat_k = (-1)^(k-1) v_plus^(k-1) v_minus^k (1 - v_plus vhat_0)
-        order = 10
+        order = 40
         plus, minus = vpm_series(order)
-        table = vk_table(order, k)
-        v = v_seq(order)
-
-        def conv(xs, ys, m):
-            return sum((xs[i] * ys[m - i] for i in range(m + 1)), QF3(0))
-
-        def series_pow(xs, p):
-            out = [QF3(1)] + [QF3(0)] * order
-            for _ in range(p):
-                out = [conv(out, xs, m) for m in range(order + 1)]
-            return out
-
-        p = [plus.coefficient(e) for e in range(order + 1)]
-        m_ = [minus.coefficient(e) for e in range(order + 1)]
-        v0 = [v[n] if n >= 2 else QF3(0) for n in range(order + 1)]
-        pv0 = [conv(p, v0, j) for j in range(order + 1)]
-        g = [QF3(1) - pv0[0]] + [-pv0[j] for j in range(1, order + 1)]
-        rhs = [conv(series_pow(p, k - 1), series_pow(m_, k), j)
-               for j in range(order + 1)]
-        rhs = [conv(rhs, g, j) * (-1) ** (k - 1) for j in range(order + 1)]
-        for n in range(order + 1):
-            assert table.value(n, k) == rhs[n], n
+        zero = QF3(0)
+        vhat0 = Series([zero, zero] + v_seq(order)[2:], 0, zero)
+        rhs = minus * (1 - plus * vhat0) * (-1) ** (k - 1)
+        for _ in range(k - 1):
+            rhs = rhs * plus * minus
+        assert rhs.order == order
+        assert rhs.coefficients(0, order) == vk_table(order, k).row(k)
