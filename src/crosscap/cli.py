@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -37,10 +38,14 @@ MIN_DPS = 30
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
     def parse(text: str) -> int:
-        if int(text) < low:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}")
-        return int(text)
-    parse.__name__ = "int"  # names the type in argparse's malformed-value error
+        return value
     return parse
 
 
@@ -48,7 +53,9 @@ def _nstr(x, dps: int) -> str:
     return mpmath.nstr(x, dps, strip_zeros=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared, unmodified, after."""
     parser = argparse.ArgumentParser(
         prog="crosscap",
         description="exact map-counting sequences and their asymptotics")
@@ -59,10 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
     common.add_argument("--output", metavar="PATH", default=None)
-    # argparse parses a string default like an argument, so a malformed or
-    # too small CROSSCAP_PREC is a usage error
+    # no default: run() reads CROSSCAP_PREC per call, so the cached parser
+    # holds no environment
     common.add_argument("--prec", type=_int_at_least(MIN_DPS),
-                        default=os.environ.get("CROSSCAP_PREC", DEFAULT_DPS),
                         help="working precision in decimal digits (default "
                              f"CROSSCAP_PREC or {DEFAULT_DPS}, min {MIN_DPS})")
 
@@ -88,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("u", "v", "vk"))
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--trunc", type=_int_at_least(0), required=True)
-    p.add_argument("--k", type=int, default=None,
-                   help="sector (vk only)")
+    p.add_argument("--k", type=_int_at_least(0),
+                   help="sector (vk only, required there)")
 
     p = sub.add_parser("richardson", parents=[common],
                        help="Richardson transform of the s or r sequence")
@@ -118,6 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("unorquot", "firstcorr"))
     p.add_argument("--nmax", type=_int_at_least(1), default=250)
 
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)  # reports a bad CROSSCAP_PREC in run()
     return parser
 
 
@@ -213,8 +221,6 @@ def _cmd_asym(args, dps: int) -> None:
         approx = asym_v(n, L, dps)
         exact = v_seq(n)[n]
     else:
-        if args.k is None:
-            raise ValueError("asym vk needs --k")
         approx = asym_vk(args.k, n, L, dps)
         exact = vk_table(n, args.k).value(n, args.k)
     err = relative_error(approx, exact, dps)
@@ -301,6 +307,14 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command == "seq" and args.name == "p" and args.n < 1:
             parser.error("argument --n: must be at least 1 for p")
+        if args.command == "asym" and args.name == "vk" and args.k is None:
+            parser.error("argument --k: required for vk")
+        if args.prec is None:
+            env = os.environ.get("CROSSCAP_PREC", str(DEFAULT_DPS))
+            try:
+                args.prec = _int_at_least(MIN_DPS)(env)
+            except argparse.ArgumentTypeError as exc:
+                args.subparser.error(f"argument --prec: {exc}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # exact values are printed whole, however many digits they have
@@ -308,7 +322,7 @@ def run(argv: list[str]) -> int:
     sys.set_int_max_str_digits(0)
     try:
         _HANDLERS[args.command](args, args.prec)
-    except Exception as exc:
+    except (ValueError, OSError) as exc:  # domain errors and --output
         sys.stderr.write(f"crosscap: {exc}\n")
         return 1
     finally:

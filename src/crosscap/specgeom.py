@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .sequences import _EXTEND_LOCK
 from .series import Series
 
 
@@ -63,10 +64,20 @@ def rp2_correlator_series(order: int) -> Series:
     return corr.truncate(order)
 
 
+_QUAD: list[int] = []
+
+
 def quadrangulation_counts(n_max: int) -> list[int]:
-    """c_1 .. c_{n_max}: rooted quadrangulations of the projective plane."""
+    """c_1 .. c_{n_max}: rooted quadrangulations of the projective plane.
+
+    Cached like the other tables: a call at or below a built size computes
+    nothing; a larger one computes the series afresh and publishes the new
+    tail.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if len(_QUAD) >= n_max:
+        return _QUAD[:n_max]
     corr = rp2_correlator_series(max(1, n_max - 1))
     counts = []
     for n in range(1, n_max + 1):
@@ -74,4 +85,6 @@ def quadrangulation_counts(n_max: int) -> list[int]:
         if q.denominator != 1 or q <= 0:
             raise SpectralCurveError(f"c_{n} = {q} is not a positive integer")
         counts.append(int(q))
+    with _EXTEND_LOCK:
+        _QUAD.extend(counts[len(_QUAD):])
     return counts

@@ -4,7 +4,8 @@ import sys
 import mpmath
 import pytest
 
-from crosscap.cli import run
+from crosscap import cli
+from crosscap.cli import build_parser, run
 from crosscap.extrapolation import probe_richardson
 
 
@@ -138,6 +139,10 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["values"] == [5, 38]
+    code, _, err = invoke(capsys, "quad", "--n", "2",
+                          "--output", str(tmp_path / "missing" / "out.txt"))
+    assert code == 1
+    assert err.startswith("crosscap: ") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_2(capsys):
@@ -155,14 +160,24 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "asym", "v", "--n", "3", "--trunc", "-1")[0] == 2
     assert invoke(capsys, "quad", "--n", "0")[0] == 2
     assert invoke(capsys, "seq", "p", "--n", "0")[0] == 2
+    assert invoke(capsys, "asym", "vk", "--k", "-1", "--n", "5",
+                  "--trunc", "1")[0] == 2
+    assert invoke(capsys, "asym", "vk", "--n", "5", "--trunc", "1")[0] == 2
 
 
 def test_env_default_precision(capsys, monkeypatch):
-    monkeypatch.setenv("CROSSCAP_PREC", "31")
-    code, out, _ = invoke(capsys, "asym", "v", "--n", "20", "--trunc", "1",
-                          "--format", "json")
-    assert code == 0
-    assert json.loads(out)["precision"] == 31
+    # read on every call: one process sees each value in turn
+    seen = []
+    for raw in ("31", "45", None):
+        if raw is None:
+            monkeypatch.delenv("CROSSCAP_PREC")
+        else:
+            monkeypatch.setenv("CROSSCAP_PREC", raw)
+        code, out, _ = invoke(capsys, "asym", "v", "--n", "20", "--trunc", "1",
+                              "--format", "json")
+        assert code == 0
+        seen.append(json.loads(out)["precision"])
+    assert seen == [31, 45, 200]
 
 
 def test_quad_plain_list(capsys):
@@ -198,12 +213,59 @@ def test_transform_domain_is_a_usage_error(capsys):
         assert "must be at least" in err, argv
 
 
+QUAD_USAGE = ("usage: crosscap quad [-h] [--format {table,json,csv}] [--output PATH]\n"
+              "                     [--prec PREC] --n N [--plain]\n")
+
+
 def test_bad_env_precision_is_a_usage_error(capsys, monkeypatch):
-    for raw in ("abc", "", "12.5", "10"):
+    # reported by the subcommand's parser as a bad --prec value, in the
+    # words argparse used when CROSSCAP_PREC was --prec's default
+    monkeypatch.setenv("COLUMNS", "80")
+    for raw, message in (("abc", "invalid int value: 'abc'"),
+                         ("", "invalid int value: ''"),
+                         ("12.5", "invalid int value: '12.5'"),
+                         ("10", "must be at least 30")):
         monkeypatch.setenv("CROSSCAP_PREC", raw)
         code, out, err = invoke(capsys, "quad", "--n", "3")
         assert (code, out) == (2, ""), raw
-        assert "--prec" in err, raw
+        assert err == QUAD_USAGE + \
+            f"crosscap quad: error: argument --prec: {message}\n", raw
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    monkeypatch.setenv("CROSSCAP_PREC", "31")
+    build_parser.cache_clear()
+    for _ in range(20):
+        assert invoke(capsys, "intersect", "--g", "2")[0] == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+    # and left as built: no run() has set a --prec default on it
+    assert build_parser().parse_args(["intersect", "--g", "2"]).prec is None
+
+
+def test_explicit_prec_wins_over_bad_env(capsys, monkeypatch):
+    monkeypatch.setenv("CROSSCAP_PREC", "abc")
+    code, out, err = invoke(capsys, "asym", "v", "--n", "20", "--trunc", "1",
+                            "--prec", "40", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["precision"] == 40
+
+
+def test_bugs_propagate_and_domain_errors_exit_1(capsys, monkeypatch):
+    def bug(args, dps):
+        raise TypeError("a bug")
+
+    def domain(args, dps):
+        raise ValueError("out of domain")
+
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setitem(cli._HANDLERS, "intersect", bug)
+    with pytest.raises(TypeError, match="a bug"):
+        run(["intersect", "--g", "2"])
+    assert sys.get_int_max_str_digits() == limit
+    monkeypatch.setitem(cli._HANDLERS, "intersect", domain)
+    assert invoke(capsys, "intersect", "--g", "2") == \
+        (1, "", "crosscap: out of domain\n")
 
 
 def test_richardson_cli_prints_the_exact_transform(capsys):

@@ -19,10 +19,11 @@ from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
-from crosscap import sequences, transseries
+from crosscap import sequences, specgeom, transseries
 from crosscap.exactnum import QF3, sqrt_fraction
 from crosscap.sequences import u_seq, v_seq
 from crosscap.series import Series
+from crosscap.specgeom import quadrangulation_counts, rp2_correlator_series
 from crosscap.transseries import mu_seq, nu_seq, vk_table, vpm_series
 
 REF_N = 80
@@ -204,7 +205,8 @@ def fresh_caches():
             patch.object(transseries, "_PLUS", []), \
             patch.object(transseries, "_MINUS", []), \
             patch.object(transseries, "_PV0", []), \
-            patch.object(transseries, "_M2G", []):
+            patch.object(transseries, "_M2G", []), \
+            patch.object(specgeom, "_QUAD", []):
         yield
 
 
@@ -258,7 +260,8 @@ def test_concurrent_builds_match_serial():
 
     def work(n):
         return v_seq(n + 20), nu_seq(n + 10), \
-            [vk_table(n, 3).row(k) for k in range(4)], vpm_lists(n // 4 + 5)
+            [vk_table(n, 3).row(k) for k in range(4)], vpm_lists(n // 4 + 5), \
+            quadrangulation_counts(n // 2 + 10)
 
     with fresh_caches():
         serial = [work(n) for n in sizes]
@@ -367,3 +370,39 @@ def test_vpm_stepwise_build_matches_reference(steps):
     with fresh_caches():
         for n in steps:
             assert vpm_lists(n) == (plus[: n + 1], minus[: n + 1]), n
+
+
+# ---------------------------------------------------------------------------
+# quadrangulation counts
+# ---------------------------------------------------------------------------
+
+QUAD_N = 60
+
+
+@cache
+def quad_reference():
+    corr = rp2_correlator_series(QUAD_N - 1)
+    return [int(corr.coefficient(n - 1) / Fraction(-4) ** (n - 1))
+            for n in range(1, QUAD_N + 1)]
+
+
+def test_quad_hit_computes_nothing():
+    ref = quad_reference()
+    with fresh_caches():
+        assert quadrangulation_counts(QUAD_N) == ref
+        with patch.object(specgeom, "rp2_correlator_series",
+                          side_effect=AssertionError("recomputed")):
+            assert quadrangulation_counts(QUAD_N) == ref
+            assert quadrangulation_counts(7) == ref[:7]
+
+
+@settings(max_examples=20, deadline=None)
+@given(steps=st.lists(st.integers(1, QUAD_N), min_size=1, max_size=4))
+def test_quad_stepwise_build_matches_reference(steps):
+    ref = quad_reference()
+    with fresh_caches():
+        for n in steps:
+            counts = quadrangulation_counts(n)
+            assert counts == ref[:n], n
+            counts.append(0)  # the caller's list, not the cache
+        assert quadrangulation_counts(QUAD_N) == ref
