@@ -4,15 +4,14 @@ counting rooted maps on non-orientable surfaces."""
 __version__ = "0.1.0"
 
 from .exactnum import (DEFAULT_DPS, QF3, SQRT3, SymConst, GammaPoleError,
-                       SymbolicConstantError, const_pi, const_sqrt2,
-                       const_sqrt3, const_sqrt6, gamma_half_integer,
+                       SymbolicConstantError, gamma_half_integer,
                        rational_to_float)
 from .series import Series, SeriesError
 from .sequences import (intersection_number, p_of_g, t_of_g, u_seq, v_seq)
 from .transseries import (TransseriesError, VkTable, mu_seq, nu_seq,
                           seed_v0k, vk_table, vpm_series)
-from .asymptotics import (HALF_ACTION, INSTANTON_ACTION, AsymParams, asym_u,
-                          asym_v, asym_vk, relative_error)
+from .asymptotics import (HALF_ACTION, INSTANTON_ACTION, asym_u, asym_v,
+                          asym_vk, relative_error)
 from .extrapolation import (FloatSeq, PrecisionWarning, RichardsonResult,
                             StokesEstimate, estimate_stokes, matched_digits,
                             probe_richardson, r_seq, richardson, s_seq,
@@ -23,14 +22,13 @@ from .specgeom import (SpectralCurveError, alpha2_series,
 
 __all__ = [
     "DEFAULT_DPS", "QF3", "SQRT3", "SymConst", "GammaPoleError",
-    "SymbolicConstantError", "const_pi", "const_sqrt2", "const_sqrt3",
-    "const_sqrt6", "gamma_half_integer", "rational_to_float",
+    "SymbolicConstantError", "gamma_half_integer", "rational_to_float",
     "Series", "SeriesError",
     "u_seq", "v_seq", "t_of_g", "p_of_g", "intersection_number",
     "TransseriesError", "VkTable", "mu_seq", "nu_seq", "seed_v0k",
     "vk_table", "vpm_series",
-    "INSTANTON_ACTION", "HALF_ACTION", "AsymParams", "asym_u", "asym_v",
-    "asym_vk", "relative_error",
+    "INSTANTON_ACTION", "HALF_ACTION", "asym_u", "asym_v", "asym_vk",
+    "relative_error",
     "FloatSeq", "PrecisionWarning", "RichardsonResult", "StokesEstimate",
     "estimate_stokes", "matched_digits", "r_seq", "richardson", "s_seq",
     "convergence_rows", "probe_richardson",

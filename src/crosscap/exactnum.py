@@ -1,6 +1,6 @@
 """Exact arithmetic foundations: the quadratic field Q(sqrt3), canonical
-symbolic constants with Gamma normalization, and an mpmath-backed
-arbitrary-precision float layer.
+symbolic constants with Gamma normalization, and the one rounding of exact
+values to mpmath floats.
 
 Rationals are plain ``fractions.Fraction`` throughout; every operation in
 this module is pure and all values are immutable after construction.
@@ -8,14 +8,15 @@ this module is pure and all values are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial, isqrt
 
 import mpmath
+from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
+                          mpf_pos)
 
 DEFAULT_DPS = 200
-
-RationalLike = "int | Fraction"
 
 
 class GammaPoleError(ValueError):
@@ -35,34 +36,49 @@ def _as_fraction(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# arbitrary-precision float layer
+# exact -> float: one rounding
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _constant(c: int, a, b: int, prec: int) -> tuple:
+    """c pi^a sqrt(b) as a raw mpf at prec bits; a is an integer or a
+    half-integer."""
+    with mpmath.workprec(prec):
+        return (c * mpmath.pi ** (mpmath.mpf(int(2 * a)) / 2)
+                * mpmath.sqrt(b))._mpf_
+
+
+def round_sum(parts, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+    """The sum of c pi^a sqrt(b) p/q over the ((c, a, b), (p, q)) ``parts``,
+    rounded once to dps digits, within 10^(1 - dps) relative.
+
+    c, p, q are integers, a is an integer or a half-integer and b > 0.  The
+    constants must be linearly independent over Q, so that the sum is zero
+    only when every p is.  The sum is formed 64 bits past dps, again wider
+    while its parts cancel more than 40 of them.  Works on raw mpf tuples:
+    mpmath's number objects cost more than the arithmetic here.
+    """
+    exact = [(const, p, q) for const, (p, q) in parts if p]
+    if not exact:
+        return mpmath.mp.make_mpf(fzero)
+    prec, extra = dps_to_prec(dps), 64
+    while True:
+        wp = prec + extra
+        terms = [mpf_mul(_constant(*const, wp), from_rational(p, q, wp, "n"),
+                         wp, "n") for const, p, q in exact]
+        total = functools.reduce(lambda x, y: mpf_add(x, y, wp, "n"), terms)
+        # bits cancelled; a raw mpf (sign, man, exp, bc) is below 2^(exp + bc),
+        # and a zero total lost all wp (the exact sum of nonzero parts is not 0)
+        lost = (max(t[2] + t[3] for t in terms) - total[2] - total[3]
+                if total[1] else wp)
+        if lost <= extra - 24:
+            return mpmath.mp.make_mpf(mpf_pos(total, prec, "n"))
+        extra = lost + 64
+
 
 def rational_to_float(q, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     """Round an exact rational once to ``dps`` decimal digits."""
-    q = _as_fraction(q)
-    with mpmath.workdps(dps):
-        return mpmath.mpf(q.numerator) / q.denominator
-
-
-def const_pi(dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    with mpmath.workdps(dps):
-        return +mpmath.pi
-
-
-def const_sqrt2(dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    with mpmath.workdps(dps):
-        return mpmath.sqrt(2)
-
-
-def const_sqrt3(dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    with mpmath.workdps(dps):
-        return mpmath.sqrt(3)
-
-
-def const_sqrt6(dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    with mpmath.workdps(dps):
-        return mpmath.sqrt(6)
+    return round_sum([((1, 0, 1), _as_fraction(q).as_integer_ratio())], dps)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +185,13 @@ class QF3:
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
+    def parts(self, c: int = 1, a=0, b: int = 1) -> list:
+        """This value times c pi^a sqrt(b), as ``round_sum`` parts."""
+        return [((c, a, b), self.a.as_integer_ratio()),
+                ((c, a, 3 * b), self.b.as_integer_ratio())]
+
     def to_float(self, dps: int = DEFAULT_DPS) -> mpmath.mpf:
-        with mpmath.workdps(dps + 10):
-            val = (mpmath.mpf(self.a.numerator) / self.a.denominator
-                   + mpmath.sqrt(3) * self.b.numerator / self.b.denominator)
-        with mpmath.workdps(dps):
-            return +val
+        return round_sum(self.parts(), dps)
 
     def as_dict(self) -> dict:
         return {"a": str(self.a), "b": str(self.b)}
@@ -272,16 +289,8 @@ class SymConst:
             raise SymbolicConstantError(
                 f"symbolic-only constant: Gamma({self.gamma_arg}) is not "
                 "evaluated numerically")
-        with mpmath.workdps(dps + 10):
-            val = mpmath.mpf(self.coeff.numerator) / self.coeff.denominator
-            if self.rad2:
-                val *= mpmath.sqrt(2)
-            if self.rad3:
-                val *= mpmath.sqrt(3)
-            if self.pi_half:
-                val *= mpmath.pi ** (mpmath.mpf(self.pi_half) / 2)
-        with mpmath.workdps(dps):
-            return +val
+        const = (1, Fraction(self.pi_half, 2), 2 ** self.rad2 * 3 ** self.rad3)
+        return round_sum([(const, self.coeff.as_integer_ratio())], dps)
 
     def as_dict(self) -> dict:
         return {
@@ -346,8 +355,8 @@ class SymConst:
 def gamma_half_integer(q) -> SymConst:
     """Exact Gamma(q) for q = m + 1/2 or a positive integer, as a SymConst.
 
-    Half-integer values use Gamma(m + 1/2) = (2m)!/(4^m m!) * sqrt(pi);
-    negative half-integers go through the functional equation.
+    Half-integer values use Gamma(1/2 + m) = (2m)!/(4^m m!) * sqrt(pi) and
+    Gamma(1/2 - m) = (-4)^m m!/(2m)! * sqrt(pi).
     """
     q = _as_fraction(q)
     if q.denominator == 1:
@@ -356,14 +365,9 @@ def gamma_half_integer(q) -> SymConst:
         return SymConst(factorial(q.numerator - 1))
     if q.denominator != 2:
         raise ValueError(f"Gamma({q}) is not integer or half-integer")
-    coeff = Fraction(1)
-    while q > Fraction(1, 2):
-        q -= 1
-        coeff *= q
-    while q < Fraction(1, 2):
-        coeff /= q
-        q += 1
-    return SymConst(coeff, pi_half=1)
+    m = abs(q.numerator) // 2 + (q < 0)  # q = 1/2 + m or 1/2 - m
+    ratio = Fraction(factorial(2 * m), 4 ** m * factorial(m))
+    return SymConst(ratio if q > 0 else (-1) ** m / ratio, pi_half=1)
 
 
 def sqrt_fraction(q) -> "Fraction | None":

@@ -18,17 +18,15 @@ exact rational transforms (``_transform``), combined and rounded once
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 import mpmath
-from mpmath.libmp import (dps_to_prec, from_rational, mpf_add, mpf_mul,
-                          mpf_pos, to_rational)
+from mpmath.libmp import to_rational
 
-from .exactnum import DEFAULT_DPS
+from .exactnum import DEFAULT_DPS, round_sum
 from .sequences import v_seq
 from .transseries import vk_table
 
@@ -79,32 +77,12 @@ def _transform(x, order: int, n: int) -> tuple:
     return total, den * factorial(order)
 
 
-@functools.lru_cache(maxsize=64)
-def _constant(c: int, a: int, b: int, prec: int) -> tuple:
-    with mpmath.workprec(prec):
-        return (c * mpmath.pi ** a * mpmath.sqrt(b))._mpf_
-
-
 def _round(parts: list, order: int, n: int, dps: int) -> mpmath.mpf:
     """Order-``order`` transform at n of sum c pi^a sqrt(b) x[m] over the
     ((c, a, b), x) ``parts``: each x transformed exactly, the sum rounded
-    once to dps digits.  It is formed 64 bits past that precision, again
-    wider while its parts cancel more than 40 of them.  Works on raw mpf
-    tuples: mpmath's number objects cost more than the arithmetic here."""
-    exact = [(const, _transform(x, order, n)) for const, x in parts]
-    prec, extra = dps_to_prec(dps), 64
-    while True:
-        wp = prec + extra
-        terms = [mpf_mul(_constant(*const, wp), from_rational(p, q, wp, "n"),
-                         wp, "n") for const, (p, q) in exact]
-        total = functools.reduce(lambda x, y: mpf_add(x, y, wp, "n"), terms)
-        # bits cancelled; a raw mpf (sign, man, exp, bc) is below 2^(exp + bc),
-        # and an exact zero total has only zero parts
-        lost = (max(t[2] + t[3] for t in terms) - total[2] - total[3]
-                if total[1] else 0)
-        if lost <= extra - 24:
-            return mpmath.mp.make_mpf(mpf_pos(total, prec, "n"))
-        extra = lost + 64
+    once to dps digits."""
+    return round_sum([(const, _transform(x, order, n)) for const, x in parts],
+                     dps)
 
 
 def _sqrt3_parts(row: list) -> list:
@@ -219,8 +197,8 @@ def estimate_stokes(which: str, n_max: int = 250, order: int = 30,
     if probe is None:
         raise ValueError("which must be 'sprime' or 'sminus1'")
     value = _round(_probe(probe, n_max, n_max + order), order, n_max, dps)
-    with mpmath.workdps(dps):
-        target = mpmath.sqrt(6) / (1 if probe == "s" else -12)
+    target = round_sum([((1, 0, 6), (1, 1) if probe == "s" else (-1, 12))],
+                       dps)
     return StokesEstimate(value, target, matched_digits(value, target, dps),
                           RichardsonResult(order, n_max, value))
 

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crosscap.asymptotics import (HALF_ACTION, INSTANTON_ACTION, AsymParams,
-                                  asym_u, asym_v, asym_vk, relative_error)
+from crosscap.asymptotics import (HALF_ACTION, INSTANTON_ACTION, asym_u,
+                                  asym_v, asym_vk, relative_error)
 from crosscap.exactnum import QF3
 from crosscap.sequences import u_seq, v_seq
 from crosscap.transseries import vk_table
@@ -15,17 +16,6 @@ DPS = 60
 def test_action_square_is_192_over_25():
     assert INSTANTON_ACTION * INSTANTON_ACTION == QF3(Fraction(192, 25))
     assert HALF_ACTION * 2 == INSTANTON_ACTION
-
-
-def test_stokes_ratios_are_real_floats():
-    for fn in (AsymParams.s_u_over_2pi_i, AsymParams.s_prime_over_2pi_i,
-               AsymParams.s_minus1_over_2pi_i):
-        val = fn(40)
-        assert isinstance(val, mpmath.mpf)
-        assert mpmath.isfinite(val)
-    assert AsymParams.s_u_over_2pi_i(40) < 0
-    assert AsymParams.s_prime_over_2pi_i(40) > 0
-    assert AsymParams.s_minus1_over_2pi_i(40) < 0
 
 
 class TestAsymU:
@@ -135,3 +125,23 @@ class TestAsymVk:
             asym_vk(-1, 10, 0, DPS)
         with pytest.raises(ValueError):
             asym_vk(2, 10, 10, DPS)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(30, 200))
+def test_truncation_error_falls(n):
+    # the expansions are asymptotic to all orders: through L = 6 each added
+    # term helps for u, v and v_{n,1}; for k = 2, 3 the two directions'
+    # errors need not fall monotonically, only overall
+    table = vk_table(n, 3)
+    cases = {"u": (lambda L: asym_u(n, L, DPS), u_seq(n)[n]),
+             "v": (lambda L: asym_v(n, L, DPS), v_seq(n)[n])}
+    for k in (1, 2, 3):
+        cases[f"vk{k}"] = (lambda L, k=k: asym_vk(k, n, L, DPS),
+                           table.value(n, k))
+    for name, (approx, exact) in cases.items():
+        errs = [relative_error(approx(L), exact, DPS) for L in range(7)]
+        if name in ("vk2", "vk3"):
+            assert errs[6] < mpmath.mpf("1e-4") * errs[0], (name, n)
+        else:
+            assert all(errs[L + 1] < errs[L] for L in range(6)), (name, n)

@@ -3,10 +3,38 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from mpmath.libmp import dps_to_prec, from_rational
 
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
-                               SymConst, const_sqrt2, const_sqrt3, const_sqrt6,
-                               gamma_half_integer, rational_to_float)
+                               SymConst, gamma_half_integer, rational_to_float)
+from crosscap.sequences import u_seq
+
+
+def pell(steps: int) -> tuple:
+    """(a, b) with a^2 - 3 b^2 = 1, ``steps`` steps of (2 + sqrt3)x from (2, 1)."""
+    a, b = 2, 1
+    for _ in range(steps):
+        a, b = 2 * a + 3 * b, a + 2 * b
+    return a, b
+
+
+def reference(x: QF3, dps: int) -> mpmath.mpf:
+    """a + b sqrt3 at dps without cancellation: for a, b of opposite signs,
+    a + b sqrt3 = norm/(a - b sqrt3)."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(x.a.numerator) / x.a.denominator
+        b = mpmath.mpf(x.b.numerator) / x.b.denominator
+        if (x.a >= 0) == (x.b >= 0):
+            return a + b * mpmath.sqrt(3)
+        norm = x.norm()
+        return (mpmath.mpf(norm.numerator) / norm.denominator
+                / (a - b * mpmath.sqrt(3)))
+
+
+rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                         max_denominator=10 ** 6)
+qf3s = st.builds(QF3, rationals, rationals)
 
 
 class TestQF3:
@@ -58,6 +86,39 @@ class TestQF3:
         with mpmath.workdps(50):
             assert abs(val - (1 + mpmath.sqrt(3))) < mpmath.mpf(10) ** -48
 
+    def test_float_value_of_cancelling_parts(self):
+        # (2 - sqrt3)^41 ~ 3.5e-24 from 24-digit parts: 47 digits cancel
+        a, b = pell(40)
+        assert len(str(a)) == 24
+        val = QF3(a, -b).to_float(50)
+        with mpmath.workdps(150):
+            ref = 1 / (a + b * mpmath.sqrt(3))
+            assert abs(val / ref - 1) < mpmath.mpf(10) ** -49
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.integers(0, 80), scale=rationals.filter(bool),
+       nudge=st.integers(-3, 3), dps=st.integers(30, 250))
+@example(steps=44, scale=Fraction(1), nudge=0, dps=30)  # cancels to 0.0 at first
+def test_float_value_near_cancellation(steps, scale, nudge, dps):
+    # scale (a + nudge - b sqrt3) is far smaller than its conjugate
+    a, b = pell(steps)
+    x = QF3(scale * (a + nudge), -scale * b)
+    ref = reference(x, dps + 100)
+    with mpmath.workdps(dps + 100):
+        assert abs(x.to_float(dps) / ref - 1) < mpmath.mpf(10) ** (1 - dps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=qf3s, y=qf3s, z=qf3s)
+def test_qf3_field_laws(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assume(x)
+    assert x * x.inverse() == 1
+
 
 class TestSymConst:
     def test_gamma_seven_halves_in_denominator(self):
@@ -84,12 +145,16 @@ class TestSymConst:
         assert (c.coeff, c.rad2, c.rad3) == (Fraction(2, 3), 1, 1)
 
     def test_normalize_idempotent(self):
+        # quarter-integer, half-integer and positive integer Gamma arguments
+        # (integers <= 0 are poles), and zero coefficients
         rng = random.Random(11)
-        for _ in range(100):
-            c = SymConst(Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 40)),
+        for i in range(300):
+            gamma_arg = (Fraction(rng.randint(-30, 30) * 2 + 1, 4),
+                         Fraction(rng.randint(-30, 30) * 2 + 1, 2),
+                         Fraction(rng.randint(1, 30)))[i % 3]
+            c = SymConst(Fraction(rng.randint(-40, 40), rng.randint(1, 40)),
                          rad2=rng.randint(-3, 3), rad3=rng.randint(-3, 3),
-                         pi_half=rng.randint(-3, 3),
-                         gamma_arg=Fraction(rng.randint(-30, 30) * 2 + 1, 4))
+                         pi_half=rng.randint(-3, 3), gamma_arg=gamma_arg)
             assert c.normalized() == c
 
     @pytest.mark.parametrize("k", range(26))
@@ -142,15 +207,16 @@ class TestSymConst:
 
 
 class TestFloatLayer:
-    @pytest.mark.parametrize("dps", [50, 100, 200])
-    def test_sqrt2_times_sqrt3_is_sqrt6(self, dps):
-        with mpmath.workdps(dps):
-            lhs = const_sqrt2(dps) * const_sqrt3(dps)
-            assert abs(lhs - const_sqrt6(dps)) < mpmath.mpf(10) ** (2 - dps)
-
     def test_rational_rounding(self):
         big = Fraction(10 ** 80 + 1, 3)
         val = rational_to_float(big, 40)
         with mpmath.workdps(45):
             ref = mpmath.mpf(10 ** 80 + 1) / 3
             assert abs(val / ref - 1) < mpmath.mpf(10) ** -39
+
+    @pytest.mark.parametrize("dps", [30, 60, 200])
+    def test_rational_rounding_is_correct(self, dps):
+        prec = dps_to_prec(dps)
+        for n, q in enumerate(u_seq(80)):
+            want = from_rational(q.numerator, q.denominator, prec, "n")
+            assert rational_to_float(q, dps)._mpf_ == want, n
