@@ -14,7 +14,7 @@ from math import factorial, isqrt
 
 import mpmath
 from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
-                          mpf_pos)
+                          mpf_pos, mpf_shift)
 
 DEFAULT_DPS = 200
 
@@ -48,6 +48,14 @@ def _constant(c: int, a, b: int, prec: int) -> tuple:
                 * mpmath.sqrt(b))._mpf_
 
 
+def _from_ratio(p: int, q: int, prec: int) -> tuple:
+    """p/q as a raw mpf rounded to prec bits.  The power of two in q goes
+    into the exponent, exactly, instead of through mpmath's normalization,
+    which strips it a byte at a time."""
+    twos = (q & -q).bit_length() - 1
+    return mpf_shift(from_rational(p, q >> twos, prec, "n"), -twos)
+
+
 def round_sum(parts, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     """The sum of c pi^a sqrt(b) p/q over the ((c, a, b), (p, q)) ``parts``,
     rounded once to dps digits, within 10^(1 - dps) relative.
@@ -64,7 +72,7 @@ def round_sum(parts, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     prec, extra = dps_to_prec(dps), 64
     while True:
         wp = prec + extra
-        terms = [mpf_mul(_constant(*const, wp), from_rational(p, q, wp, "n"),
+        terms = [mpf_mul(_constant(*const, wp), _from_ratio(p, q, wp),
                          wp, "n") for const, p, q in exact]
         total = functools.reduce(lambda x, y: mpf_add(x, y, wp, "n"), terms)
         # bits cancelled; a raw mpf (sign, man, exp, bc) is below 2^(exp + bc),

@@ -12,8 +12,10 @@ and the N-th Richardson transform at n is the linear combination
 By parity s_n = 2 pi sqrt3 q_n and r_n = sqrt2 pi (n q_n) - n with q_n
 rational, and the sequence behind S_-1 is 2 pi sqrt3 L_n - 3 sqrt6 B_n with
 L_n, B_n rational.  By linearity each transform is a few constants times
-exact rational transforms (``_transform``), combined and rounded once
-(``_round``); ``richardson`` transforms user float data exactly as given.
+exact rational transforms, combined and rounded once (``round_sum``).  The
+rational transforms of crosscap's own sequences read the tables' stored
+integers over closed-form denominators (``_probe``); ``richardson``
+transforms user float data exactly as given (``_transform``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from math import comb, factorial, lcm
 import mpmath
 from mpmath.libmp import to_rational
 
+from . import sequences, transseries
 from .exactnum import DEFAULT_DPS, round_sum
 from .sequences import v_seq
 from .transseries import vk_table
@@ -67,65 +70,94 @@ def _transform(x, order: int, n: int) -> tuple:
     """(1/N!) sum_k (-1)^(k+N) C(N,k) (n+k)^N x[n+k], N = order, x[m] ints or
     Fractions, exactly: (numerator, denominator), one integer sum over the
     terms' common denominator, not reduced."""
-    if n < 1 or order < 0:
-        raise ValueError(f"a transform needs n >= 1, order >= 0: {n}, {order}")
+    weights = _weights(order, n)
     terms = [x[n + k] for k in range(order + 1)]
     den = lcm(*(t.denominator for t in terms))
-    total = sum((-1) ** (k + order) * comb(order, k) * (n + k) ** order
-                * t.numerator * (den // t.denominator)
-                for k, t in enumerate(terms))
+    total = sum(w * t.numerator * (den // t.denominator)
+                for w, t in zip(weights, terms))
     return total, den * factorial(order)
 
 
-def _round(parts: list, order: int, n: int, dps: int) -> mpmath.mpf:
-    """Order-``order`` transform at n of sum c pi^a sqrt(b) x[m] over the
-    ((c, a, b), x) ``parts``: each x transformed exactly, the sum rounded
-    once to dps digits."""
-    return round_sum([(const, _transform(x, order, n)) for const, x in parts],
-                     dps)
+def _weights(order: int, n: int) -> list[int]:
+    """(-1)^(k+N) C(N,k) (n+k)^N for k = 0..N, N = order."""
+    if n < 1 or order < 0:
+        raise ValueError(f"a transform needs n >= 1, order >= 0: {n}, {order}")
+    return [(-1) ** (k + order) * comb(order, k) * (n + k) ** order
+            for k in range(order + 1)]
 
 
-def _sqrt3_parts(row: list) -> list:
-    """q_m = (A/2)^m row[m] / (sqrt3 Gamma(m)) for m >= 1 (entry 0 reads 0).
-    Entries are rational multiples of sqrt3 at even m and rational at odd m,
-    so q_m = c_m (4/5)^m 3^floor(m/2) / (m-1)!, c_m the nonzero part."""
-    out, num, den = [0], 1, 1
-    for m in range(1, len(row)):
-        num *= 12 if m % 2 == 0 else 4
-        den *= 5 * max(m - 1, 1)
-        c, rest = (row[m].b, row[m].a) if m % 2 == 0 else (row[m].a, row[m].b)
-        if rest:
-            raise ArithmeticError(f"entry {m} breaks the parity rule")
-        out.append(Fraction(c.numerator * num, c.denominator * den))
-    return out
+def _horner(weights: list[int], xs: list[int], n: int, step) -> int:
+    """sum_k weights[k] xs[n+k] step(n+k+1) ... step(n+N), N = len(weights)
+    - 1, by Horner's rule: the window's integer sum over the denominator
+    d_{n+N} when entry m is xs[m] / d_m and step(m) = d_m / d_{m-1}."""
+    acc = 0
+    for m, w in enumerate(weights, n):
+        acc = acc * step(m) + w * xs[m]
+    return acc
 
 
-def _probe(which: str, lo: int, top: int) -> list:
-    """Probe ``which`` over lo..top as (constant, exact sequence) parts: "s"
-    2 pi sqrt3 q_m, "r" sqrt2 pi m q_m - m, "sminus1" the k = 2 row less its
-    forward part, (-1)^m [2 pi lam^m v_{m,2}/Gamma(m) - 3 sqrt6 B_m] with lam
-    = A/2, B_m = sum_{l <= min(m//2, top//2, m-1)} v_{l,3} lam^l / (m-1)_l."""
+def _q_step(m: int) -> int:
+    """d_m / d_{m-1} for q's denominators d_m = 10^m (m-1)!."""
+    return 10 * (m - 1)
+
+
+def _lead_step(m: int) -> int:
+    """d_m / d_{m-1} for the S_-1 lead's d_m = 6 50^m m! (m-1)!."""
+    return 50 * m * (m - 1)
+
+
+def _brace(big_w3: list[int], m: int) -> Fraction:
+    """B_m = sum_{l <= m//2} v_{l,3} lam^l / ((m-1) ... (m-l)), lam = A/2,
+    with v_{l,3} lam^l = W_{l,3} / (12 100^l l!): the Horner sum
+    a <- 100 l (m-l) a + W_{l,3} over the denominator
+    12 100^L L! (m-1) ... (m-L), L = m//2."""
+    acc, den = big_w3[0], 12
+    for l in range(1, m // 2 + 1):
+        acc = acc * (100 * l * (m - l)) + big_w3[l]
+        den *= 100 * l * (m - l)
+    return Fraction(acc, den)
+
+
+def _probe(which: str, top: int):
+    """The probe ``which`` through index top, as a function (order, n) ->
+    the ``round_sum`` parts of its order-``order`` transform at n, which
+    reads the stored integers of the window n..n+order only.
+
+    By parity the probes are s_m = 2 pi sqrt3 q_m, r_m = sqrt2 pi m q_m - m
+    and, behind S_-1, (-1)^m [2 pi sqrt3 L_m - 3 sqrt6 B_m], with
+    q_m = R_m / (10^m (m-1)!), L_m = W_{m,2} / (6 50^m m! (m-1)!) and the
+    brace B_m of ``_brace``.  The transform of m itself is (N+1)(2n+N)/2.
+    """
     if which in ("s", "r"):
-        q = _sqrt3_parts(v_seq(top))
-        if which == "s":
-            return [((2, 1, 3), q)]
-        return [((1, 1, 2), [m * x for m, x in enumerate(q)]),
-                ((-1, 0, 1), range(top + 1))]
+        v_seq(top)
+        big_v = sequences._V_INT
+
+        def parts(order: int, n: int) -> list:
+            weights, last = _weights(order, n), n + order
+            den = factorial(order) * 10 ** last * factorial(last - 1)
+            if which == "s":
+                return [((2, 1, 3), (_horner(weights, big_v, n, _q_step), den))]
+            weights = [w * m for m, w in enumerate(weights, n)]
+            return [((1, 1, 2), (_horner(weights, big_v, n, _q_step), den)),
+                    ((-1, 0, 1), ((order + 1) * (2 * n + order), 2))]
+        return parts
     if which != "sminus1":
         raise ValueError(f"unknown probe {which!r}")
-    table, width = vk_table(top, 3), top // 2
-    lead = _sqrt3_parts(table.row(2))
-    lam_pow_3 = [(e.a if l % 2 == 0 else e.b) * Fraction(4, 5) ** l
-                 * 3 ** ((l + 1) // 2)  # v_{l,3} lam^l, rational by parity
-                 for l, e in enumerate(table.row(3)[:width + 1])]
-    signed_lead, brace = {}, {}
-    for m in range(lo, top + 1):
-        acc, prod = Fraction(0), 1
-        for l in range(min(m // 2, width, m - 1) + 1):
-            prod *= m - l if l else 1
-            acc += lam_pow_3[l] / prod
-        signed_lead[m], brace[m] = (-1) ** m * lead[m], (-1) ** m * acc
-    return [((2, 1, 3), signed_lead), ((-3, 0, 6), brace)]
+    vk_table(top, 3)
+    big_w2, big_w3 = transseries._VK_INT[0], transseries._VK_INT[1]
+    braces: dict = {}
+
+    def parts(order: int, n: int) -> list:
+        weights, last = _weights(order, n), n + order
+        weights = [(-1) ** m * w for m, w in enumerate(weights, n)]
+        lead = _horner(weights, big_w2, n, _lead_step)
+        for m in range(n, last + 1):
+            if m not in braces:
+                braces[m] = (-1) ** m * _brace(big_w3, m)
+        return [((2, 1, 3), (lead, 6 * factorial(order) * 50 ** last
+                             * factorial(last) * factorial(last - 1))),
+                ((-3, 0, 6), _transform(braces, order, n))]
+    return parts
 
 
 def s_seq(n_max: int, dps: int = DEFAULT_DPS) -> FloatSeq:
@@ -143,7 +175,7 @@ def r_seq(n_max: int, dps: int = DEFAULT_DPS) -> FloatSeq:
 def probe_richardson(which: str, order: int, n: int,
                      dps: int = DEFAULT_DPS) -> RichardsonResult:
     """Order-``order`` transform of the probe ``which`` ("s" or "r") at n."""
-    value = _round(_probe(which, n, n + order), order, n, dps)
+    value = round_sum(_probe(which, n + order)(order, n), dps)
     return RichardsonResult(order, n, value)
 
 
@@ -158,7 +190,7 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
             f"sequence covers {seq.start}..{seq.last}")
     exact = {m: Fraction(*to_rational(seq[m]._mpf_))
              for m in range(n, n + order + 1)}
-    value = _round([((1, 0, 1), exact)], order, n, seq.dps)
+    value = round_sum([((1, 0, 1), _transform(exact, order, n))], seq.dps)
     guard = seq.dps - len(str(sum(comb(order, k) * (n + k) ** order
                                   for k in range(order + 1)) // factorial(order)))
     if guard < 30:
@@ -196,7 +228,7 @@ def estimate_stokes(which: str, n_max: int = 250, order: int = 30,
     probe = {"sprime": "s", "sminus1": "sminus1"}.get(which)
     if probe is None:
         raise ValueError("which must be 'sprime' or 'sminus1'")
-    value = _round(_probe(probe, n_max, n_max + order), order, n_max, dps)
+    value = round_sum(_probe(probe, n_max + order)(order, n_max), dps)
     target = round_sum([((1, 0, 6), (1, 1) if probe == "s" else (-1, 12))],
                        dps)
     return StokesEstimate(value, target, matched_digits(value, target, dps),
@@ -208,6 +240,6 @@ def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
     """(n, transform values per order) rows behind the convergence plots."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    parts = _probe(which, 1, n_max + max(orders))
-    return [(n, *(_round(parts, N, n, dps) for N in orders))
+    parts = _probe(which, n_max + max(orders))
+    return [(n, *(round_sum(parts(N, n), dps) for N in orders))
             for n in range(1, n_max + 1)]

@@ -10,9 +10,9 @@ orientable-surface constants t_g, the non-orientable constants p_g, and the
 psi-class intersection numbers are exact one-liners.
 
 Both builders cache: asking for N after M < N reuses the first M+1 entries.
-The recursions run on scaled integers (U_m = 96^m u_m and
-R_m = 8^m sqrt3^(m-1) v_m); an entry becomes a Fraction or QF3 once, when
-it is added to the cache.
+The tables are stored as scaled integers (U_m = 96^m u_m and
+R_m = 8^m sqrt3^(m-1) v_m), on which the recursions run; each entry also
+becomes a Fraction or QF3 once, when it is added to the cache.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ def _half_self_convolution(xs: list[int], m: int) -> int:
     return acc + (xs[m // 2] ** 2 >> 1 if m % 2 == 0 else 0)
 
 
-def _scaled_int(q: Fraction, den: int) -> int:
-    """The integer q*den; den must be a multiple of q's denominator."""
-    return q.numerator * (den // q.denominator)
-
-
 def _from_scaled(num: int, den: int, e: int) -> QF3:
     """num / (den sqrt3^e): a rational for even e, a rational times sqrt3
     for odd e."""
@@ -50,62 +45,46 @@ def _from_scaled(num: int, den: int, e: int) -> QF3:
     return QF3(q) if e % 2 == 0 else QF3(0, q)
 
 
-def _to_scaled(x: QF3, den: int, e: int) -> int:
-    """The integer num with x = num / (den sqrt3^e), the inverse of
-    ``_from_scaled``."""
-    return _scaled_int(x.b if e % 2 else x.a, den * 3 ** ((e + 1) // 2))
-
-
-def _scaled_u(u_values: list[Fraction]) -> list[int]:
-    """U_m = 96^m u_m, integers."""
-    return [_scaled_int(x, 96 ** m) for m, x in enumerate(u_values)]
-
-
-def _scaled_v(v_values: list[QF3]) -> list[int]:
-    """R_m = 8^m sqrt3^(m-1) v_m, integers (R_0 = -1)."""
-    return [_to_scaled(x, 8 ** m, m - 1) for m, x in enumerate(v_values)]
-
-
-def extend_u(values: list[Fraction], n: int) -> None:
-    """Grow a u-recursion table in place through index n.
-
-    The recursion runs on the integers U_m = 96^m u_m,
+def extend_u(big: list[int], n: int) -> None:
+    """Grow the integers U_m = 96^m u_m in place through index n,
 
         U_m = 2(25(m-1)^2 - 1) U_{m-1} - (1/2) sum_{k=1}^{m-1} U_k U_{m-k},
 
-    and the new entries are appended by one ``list.extend``.
+    U_0 = 1.
     """
-    big = _scaled_u(values) or [1]
+    if not big:
+        big.append(1)
     for m in range(len(big), n + 1):
         big.append(2 * (25 * (m - 1) ** 2 - 1) * big[m - 1]
                    - _half_self_convolution(big, m))
-    values.extend([Fraction(big[m], 96 ** m) for m in range(len(values), n + 1)])
 
 
-def extend_v(values: list[QF3], u_values: list[Fraction], n: int) -> None:
-    """Grow a v-recursion table in place through index n.
-
-    ``u_values`` must cover indices up to n//2.  The recursion runs on the
-    integers R_m = 8^m sqrt3^(m-1) v_m, R_0 = -1,
+def extend_v(big: list[int], big_u: list[int], n: int) -> None:
+    """Grow the integers R_m = 8^m sqrt3^(m-1) v_m in place through index n,
 
         R_m = 2(5m-6) R_{m-1} + (1/2) sum_{k=1}^{m-1} R_k R_{m-k}
               - [m even] 2^(m/2-1) U_{m/2},
 
-    and the new entries are appended by one ``list.extend``.
+    R_0 = -1; ``big_u`` must hold U_m through m = n//2.
     """
-    big_u = _scaled_u(u_values[: n // 2 + 1])
-    big = _scaled_v(values) or [-1]
+    if not big:
+        big.append(-1)
     for m in range(len(big), n + 1):
         r = 2 * (5 * m - 6) * big[m - 1] + _half_self_convolution(big, m)
         if m % 2 == 0:
             r -= big_u[m // 2] << (m // 2 - 1)
         big.append(r)
-    values.extend([_from_scaled(big[m], 8 ** m, m - 1)
-                   for m in range(len(values), n + 1)])
 
 
+# Each table is stored as its scaled integers, which the recursions and the
+# Richardson probes read, beside the public values built from them once.
+# An extension appends to the integers first and publishes the new values
+# last, by one list.extend, so a hit (which reads the public list's length)
+# finds the integers in place too.
 _U: list[Fraction] = []
+_U_INT: list[int] = []
 _V: list[QF3] = []
+_V_INT: list[int] = []
 
 
 def u_seq(n: int) -> list[Fraction]:
@@ -115,7 +94,9 @@ def u_seq(n: int) -> list[Fraction]:
     if len(_U) <= n:
         with _EXTEND_LOCK:
             if len(_U) <= n:
-                extend_u(_U, n)
+                extend_u(_U_INT, n)
+                _U.extend([Fraction(_U_INT[m], 96 ** m)
+                           for m in range(len(_U), n + 1)])
     return _U[: n + 1]
 
 
@@ -124,10 +105,12 @@ def v_seq(n: int) -> list[QF3]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if len(_V) <= n:
-        u = u_seq(n // 2)
+        u_seq(n // 2)
         with _EXTEND_LOCK:
             if len(_V) <= n:
-                extend_v(_V, u, n)
+                extend_v(_V_INT, _U_INT, n)
+                _V.extend([_from_scaled(_V_INT[m], 8 ** m, m - 1)
+                           for m in range(len(_V), n + 1)])
     return _V[: n + 1]
 
 

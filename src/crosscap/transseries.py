@@ -11,8 +11,9 @@ follow
                 + 1/2 sum_{i=1}^{k-1} sum_{l=0}^{n+1} v_{l,i} v_{n+1-l,k-i} }
 
 seeded by the closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k).  These
-recursions, and those of mu and nu, run on scaled integers; an entry
-becomes a QF3 once, when it is added to the cache.
+recursions, and those of mu, nu and the pair below, run on scaled integers,
+which are the stored form of each table; an entry also becomes a QF3 once,
+when it is added to the cache.
 
 ``vpm_series`` recovers the two formal power series v_plus, v_minus with
 
@@ -24,12 +25,11 @@ by solving the k = 1 and k = 2 identities order by order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
 from .exactnum import QF3
-from .sequences import (_EXTEND_LOCK, _from_scaled, _scaled_u, _scaled_v,
-                        _to_scaled, u_seq, v_seq)
+from . import sequences
+from .sequences import _EXTEND_LOCK, _from_scaled, u_seq, v_seq
 from .series import Series
 
 _QZERO = QF3(0)
@@ -47,28 +47,23 @@ def _mu_den(l: int) -> int:
     return 320 ** l * factorial(l)
 
 
-def extend_mu(values: list[QF3], u_values: list[Fraction], n: int) -> None:
-    """Grow a mu-recursion table in place through index n.
-
-    ``u_values`` must cover indices up to (n+1)//2.  The recursion runs on
-    the integers M_l = 320^l l! sqrt3^l mu_l, M_0 = 1,
+def extend_mu(big: list[int], big_u: list[int], n: int) -> None:
+    """Grow the integers M_l = 320^l l! sqrt3^l mu_l in place through index n,
 
         M_l = sum_{j=1}^{(l+1)/2} 2^(7j-4) 5^(2j-2) (l-1)!/(l-2j+1)!
                   U_j M_{l-2j+1}  -  (10l-9)(10l-1) M_{l-1},
 
-    the sum taken in Horner form, and the new entries are appended by one
-    ``list.extend``.
+    M_0 = 1, the sum taken in Horner form; ``big_u`` must hold the scaled
+    u-sequence U_j through j = (n+1)//2.
     """
-    big_u = _scaled_u(u_values[: (n + 1) // 2 + 1])
-    big = [_to_scaled(x, _mu_den(l), l) for l, x in enumerate(values)] or [1]
+    if not big:
+        big.append(1)
     for l in range(len(big), n + 1):
         acc = 0
         for j in range((l + 1) // 2, 0, -1):
             acc = acc * (3200 * (l - 2 * j + 1) * (l - 2 * j)) \
                 + big_u[j] * big[l - 2 * j + 1]
         big.append(8 * acc - (10 * l - 9) * (10 * l - 1) * big[l - 1])
-    values.extend([_from_scaled(big[l], _mu_den(l), l)
-                   for l in range(len(values), n + 1)])
 
 
 def _vk_den(n: int, k: int) -> int:
@@ -76,35 +71,30 @@ def _vk_den(n: int, k: int) -> int:
     return 40 ** n * factorial(n) * factorial(k - 1) ** n << (k - 1)
 
 
-def _scaled_nu(nu_values: list[QF3]) -> list[int]:
-    """S_m = 40^m m! sqrt3^m nu_m, integers (S_0 = 1)."""
-    return [_to_scaled(x, _vk_den(m, 1), m) for m, x in enumerate(nu_values)]
-
-
-def extend_nu(values: list[QF3], v_values: list[QF3], n: int) -> None:
-    """Grow a nu-recursion table in place through index n.
-
-    ``v_values`` must cover indices up to n+1.  The recursion runs on the
-    integers S_m = 40^m m! sqrt3^m nu_m, S_0 = 1,
+def extend_nu(big: list[int], big_v: list[int], n: int) -> None:
+    """Grow the integers S_m = 40^m m! sqrt3^m nu_m in place through index n,
 
         S_m = -sum_{k<m} 5^(m-1-k) (m-1)!/k! (R_{m+1-k}/2) S_k,
 
-    the sum taken in Horner form (R_j is even for j >= 1), and the new
-    entries are appended by one ``list.extend``.
+    S_0 = 1, the sum taken in Horner form; ``big_v`` must hold the scaled
+    v-sequence R_j (even for j >= 1) through j = n+1.
     """
-    half_r = [r >> 1 for r in _scaled_v(v_values[: n + 2])]
-    big = _scaled_nu(values) or [1]
+    half_r = [r >> 1 for r in big_v[: n + 2]]
+    if not big:
+        big.append(1)
     for m in range(len(big), n + 1):
         acc = 0
         for k in range(m):
             acc = acc * (5 * k) + half_r[m + 1 - k] * big[k]
         big.append(-acc)
-    values.extend([_from_scaled(big[m], _vk_den(m, 1), m)
-                   for m in range(len(values), n + 1)])
 
 
+# Stored like the tables of ``sequences``: the scaled integers, extended
+# first, and the public values, published last.
 _MU: list[QF3] = []
+_MU_INT: list[int] = []
 _NU: list[QF3] = []
+_NU_INT: list[int] = []
 
 
 def mu_seq(n: int) -> list[QF3]:
@@ -112,10 +102,12 @@ def mu_seq(n: int) -> list[QF3]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if len(_MU) <= n:
-        u = u_seq((n + 1) // 2)
+        u_seq((n + 1) // 2)
         with _EXTEND_LOCK:
             if len(_MU) <= n:
-                extend_mu(_MU, u, n)
+                extend_mu(_MU_INT, sequences._U_INT, n)
+                _MU.extend([_from_scaled(_MU_INT[l], _mu_den(l), l)
+                            for l in range(len(_MU), n + 1)])
     return _MU[: n + 1]
 
 
@@ -124,10 +116,12 @@ def nu_seq(n: int) -> list[QF3]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if len(_NU) <= n:
-        v = v_seq(n + 1)
+        v_seq(n + 1)
         with _EXTEND_LOCK:
             if len(_NU) <= n:
-                extend_nu(_NU, v, n)
+                extend_nu(_NU_INT, sequences._V_INT, n)
+                _NU.extend([_from_scaled(_NU_INT[m], _vk_den(m, 1), m)
+                            for m in range(len(_NU), n + 1)])
     return _NU[: n + 1]
 
 
@@ -160,12 +154,12 @@ class VkTable:
 
 
 _VK_EXTRA: list[list[QF3]] = []  # rows k >= 2, entry 0 is row k=2
+_VK_INT: list[list[int]] = []  # their integers W_{n,k}
 
 
-def _extend_vk_row(k: int, row: list[QF3], lower: list[list[int]],
-                   n_max: int) -> list[int]:
-    """Grow row k of the table in place through index n_max and return its
-    scaled integers W_{n,k}, n <= n_max.
+def _extend_vk_row(k: int, big: list[int], lower: list[list[int]],
+                   n_max: int) -> None:
+    """Grow the integers W_{n,k} of row k in place through index n_max.
 
     With c_k = (k-1)!, the row runs on the integers
 
@@ -180,19 +174,20 @@ def _extend_vk_row(k: int, row: list[QF3], lower: list[list[int]],
                        (c_k/c_i)^l (c_k/c_{k-i})^(N-l) W_{l,i} W_{N-l,k-i},
 
     every coefficient an integer.  The terms i and k-i of the double sum
-    are equal, so each pair is taken once.  The new entries are appended by
-    one ``list.extend``.
+    are equal, so each pair is taken once.
     """
+    if not big:
+        big.append((-1) ** (k - 1))
+    if len(big) > n_max:
+        return
     c_k = factorial(k - 1)
     big_v = lower[0]
-    big = [_to_scaled(x, _vk_den(n, k), n + k - 1)
-           for n, x in enumerate(row[: n_max + 1])] or [(-1) ** (k - 1)]
     pairs = []
     for i in range(1, k // 2 + 1):
         a, b = c_k // factorial(i - 1), c_k // factorial(k - i - 1)
         pairs.append((1 if 2 * i == k else 2,
-                      [a ** l * w for l, w in enumerate(lower[i])],
-                      [b ** l * w for l, w in enumerate(lower[k - i])]))
+                      [a ** l * w for l, w in enumerate(lower[i][: n_max + 1])],
+                      [b ** l * w for l, w in enumerate(lower[k - i][: n_max + 1])]))
     for n in range(len(big) - 1, n_max):
         N = n + 1
         acc = 0
@@ -207,68 +202,93 @@ def _extend_vk_row(k: int, row: list[QF3], lower: list[list[int]],
             dbl += weight * conv
         big.append(-(25 * factorial(k - 2) * N * n * (2 * big[n] + c_k * acc)
                      + dbl // (k - 1)))
-    row.extend([_from_scaled(big[n], _vk_den(n, k), n + k - 1)
-                for n in range(len(row), n_max + 1)])
-    return big
 
 
 def vk_table(n_max: int, k_max: int) -> VkTable:
     """Exact table of v_{n,k} for n <= n_max, k <= k_max."""
     if n_max < 0 or k_max < 0:
         raise ValueError("table bounds must be non-negative")
-    v = v_seq(n_max)
-    rows: list[list[QF3]] = [v]
+    rows: list[list[QF3]] = [v_seq(n_max)]
     if k_max >= 1:
         rows.append(nu_seq(n_max))
     # a row never outgrows the rows below it, so row k_max is the shortest
     if k_max >= 2 and (len(_VK_EXTRA) < k_max - 1
                        or len(_VK_EXTRA[k_max - 2]) <= n_max):
         with _EXTEND_LOCK:
-            lower = [_scaled_v(v), _scaled_nu(rows[1])]
+            lower = [sequences._V_INT, _NU_INT]
             for k in range(2, k_max + 1):
                 if len(_VK_EXTRA) < k - 1:
+                    _VK_INT.append([])
                     _VK_EXTRA.append([])
-                lower.append(_extend_vk_row(k, _VK_EXTRA[k - 2], lower, n_max))
+                big, row = _VK_INT[k - 2], _VK_EXTRA[k - 2]
+                _extend_vk_row(k, big, lower, n_max)
+                row.extend([_from_scaled(big[n], _vk_den(n, k), n + k - 1)
+                            for n in range(len(row), len(big))])
+                lower.append(big)
     rows += [row[: n_max + 1] for row in _VK_EXTRA[: k_max - 1]]
     return VkTable(rows)
 
 
-# The factorization pair and the two series its recursion reads, all of
-# one length: pv0 = v_plus vhat_0 and m2g = v_minus nu.  v_minus is
-# published last, and a hit reads its length.
+# The factorization pair, stored like the tables: the integers of v_plus
+# and v_minus and of the two series their recursion reads, pv0 = v_plus
+# vhat_0 and m2g = v_minus nu, all four of one length and extended first;
+# then the public v_plus and, last, v_minus, whose length a hit reads.
 _PLUS: list[QF3] = []
 _MINUS: list[QF3] = []
-_PV0: list[QF3] = []
-_M2G: list[QF3] = []
+_PLUS_INT: list[int] = []
+_MINUS_INT: list[int] = []
+_PV0: list[int] = []
+_M2G: list[int] = []
 
 
-def _dot(xs, ys) -> QF3:
-    """sum xs[i] ys[i] over the shorter of the two."""
-    return sum(map(QF3.__mul__, xs, ys), _QZERO)
+def _binomial_dot(binom: list[int], xs: list[int], ys: list[int], n: int,
+                  top: int) -> int:
+    """sum_{i<=top} C(n,i) xs[i] ys[n-i], with ``binom`` row n of Pascal's
+    triangle."""
+    if top < 0:
+        return 0
+    return sum(map(int.__mul__, map(int.__mul__, binom[: top + 1], xs[: top + 1]),
+                   reversed(ys[n - top: n + 1])))
 
 
-def _extend_vpm(v: list[QF3], nu: list[QF3], row2: list[QF3], order: int) -> None:
-    """Grow the cached pair through x^-order, one order at a time.
+def _extend_vpm(big_v: list[int], big_nu: list[int], big_w2: list[int],
+                order: int) -> None:
+    """Grow the integers of the cached pair through x^-order, one order at a
+    time.
 
     With g = 1 - v_plus vhat_0, the k = 1 identity reads v_minus g = nu and
-    the k = 2 identity v_plus v_minus (v_minus g) = -vhat_2, so with
-    pv0 = v_plus vhat_0 and m2g = v_minus nu, at order n
+    the k = 2 identity v_plus v_minus (v_minus g) = -vhat_2.  With
+    pv0 = v_plus vhat_0 and m2g = v_minus nu, the recursion runs on
 
-        pv0_n   = sum_{i<=n-2} plus_i v_{n-i},
-        minus_n = nu_n + sum_{i<=n-2} minus_i pv0_{n-i},
-        m2g_n   = sum_{i<=n} minus_i nu_{n-i},
-        plus_n  = -(v_{n,2} + sum_{i<n} plus_i m2g_{n-i}) / m2g_0,
+        P_n = 40^n n! 2 sqrt3^(n+1) plus_n   (the scale of row 2),
+        Q_n = 40^n n! sqrt3^n minus_n        (the scale of nu),
+        Y_n = 40^n n! sqrt3^n pv0_n,  G_n = 40^n n! sqrt3^n m2g_n,
 
-    each one dot product over the orders before it.  The new entries of
-    the four lists are appended by one ``list.extend`` each.
+    so that, with R_j, S_j and W_{j,2} the scaled v-sequence, nu and row 2,
+    every product of two series is a binomial convolution:
+
+        Y_n = sum_{i<=n-2} C(n,i) 5^(n-i) (n-i)! P_i R_{n-i}/2,
+        Q_n = S_n + sum_{i<=n-2} C(n,i) Q_i Y_{n-i},
+        G_n = sum_{i<=n} C(n,i) Q_i S_{n-i},
+        P_n = -(W_{n,2} + sum_{i<n} C(n,i) P_i G_{n-i}),
+
+    all integers (G_0 = Q_0 S_0 = 1; R_j is even for j >= 1).  The new
+    entries of the four lists are appended by one ``list.extend`` each.
     """
-    plus, minus, pv0, m2g = _PLUS[:], _MINUS[:], _PV0[:], _M2G[:]
+    plus, minus, pv0, m2g = _PLUS_INT[:], _MINUS_INT[:], _PV0[:], _M2G[:]
+    # 5^j j! R_j / 2: vhat_0 in the scale of Y, from j = 2
+    v_hat = [0, 0] + [5 ** j * factorial(j) * (big_v[j] >> 1)
+                      for j in range(2, order + 1)]
     for n in range(len(minus), order + 1):
-        pv0.append(_dot(plus, v[n:1:-1]))
-        minus.append(nu[n] + _dot(minus, pv0[n:1:-1]))
-        m2g.append(_dot(minus, nu[n::-1]))
-        plus.append((-row2[n] - _dot(plus, m2g[n:0:-1])) / m2g[0])
-    for cached, built in ((_PV0, pv0), (_M2G, m2g), (_PLUS, plus), (_MINUS, minus)):
+        binom = [1]
+        for i in range(n):
+            binom.append(binom[i] * (n - i) // (i + 1))
+        pv0.append(_binomial_dot(binom, plus, v_hat, n, n - 2))
+        minus.append(big_nu[n] + _binomial_dot(binom, minus, pv0, n, n - 2))
+        m2g.append(_binomial_dot(binom, minus, big_nu, n, n))
+        plus.append(-big_w2[n] - _binomial_dot(binom, plus, m2g, n, n - 1))
+    for cached, built in ((_PV0, pv0), (_M2G, m2g), (_PLUS_INT, plus),
+                          (_MINUS_INT, minus)):
         cached.extend(built[len(cached):])
 
 
@@ -287,6 +307,10 @@ def vpm_series(order: int) -> tuple[Series, Series]:
             raise TransseriesError(0, "v_{0,1} vanishes; normalization broken")
         with _EXTEND_LOCK:
             if len(_MINUS) <= order:
-                _extend_vpm(table.row(0), table.row(1), table.row(2), order)
+                _extend_vpm(sequences._V_INT, _NU_INT, _VK_INT[0], order)
+                _PLUS.extend([_from_scaled(_PLUS_INT[n], _vk_den(n, 2), n + 1)
+                              for n in range(len(_PLUS), order + 1)])
+                _MINUS.extend([_from_scaled(_MINUS_INT[n], _vk_den(n, 1), n)
+                               for n in range(len(_MINUS), order + 1)])
     return (Series(_PLUS[: order + 1], 0, _QZERO),
             Series(_MINUS[: order + 1], 0, _QZERO))

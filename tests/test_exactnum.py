@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath.libmp import dps_to_prec, from_rational
 
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
-                               SymConst, gamma_half_integer, rational_to_float)
+                               SymConst, _from_ratio, gamma_half_integer,
+                               rational_to_float)
 from crosscap.sequences import u_seq
 
 
@@ -220,3 +221,11 @@ class TestFloatLayer:
         for n, q in enumerate(u_seq(80)):
             want = from_rational(q.numerator, q.denominator, prec, "n")
             assert rational_to_float(q, dps)._mpf_ == want, n
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(-10 ** 200, 10 ** 200), odd=st.integers(0, 10 ** 200),
+           twos=st.integers(0, 3000), prec=st.integers(100, 900))
+    def test_power_of_two_denominator_moves_to_the_exponent_exactly(
+            self, p, odd, twos, prec):
+        q = (2 * odd + 1) << twos
+        assert _from_ratio(p, q, prec) == from_rational(p, q, prec, "n")

@@ -1,26 +1,32 @@
-"""The scaled-integer recursions and the integer series arithmetic against
-Fraction/QF3 references, path independence of the cached tables, the
-parity invariant, and concurrent cache builds.
+"""The scaled-integer recursions, the integer series arithmetic and the
+integer Richardson probes against Fraction/QF3 references, path
+independence of the cached tables, the parity invariant, and concurrent
+cache builds.
 
 The reference functions below are the recursions written directly over
 ``Fraction``/``QF3``: the table recursions, the per-term ``Series``
-product, reciprocal and square root, and the O(n^3) ``vpm_series`` solve
-that rebuilds every convolution at every order.  The library runs the same
+product, reciprocal and square root, the O(n^3) ``vpm_series`` solve
+that rebuilds every convolution at every order, and the probe sequences
+built as one ``Fraction`` per table entry.  The library runs the same
 recursions on integers, or incrementally, and must reproduce them entry for
-entry.
+entry, and its transforms bit for bit.
 """
 
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache
 from unittest.mock import patch
 
+from math import factorial
+
 from hypothesis import given, settings, strategies as st
 
 from crosscap import sequences, specgeom, transseries
-from crosscap.exactnum import QF3, sqrt_fraction
+from crosscap.exactnum import QF3, round_sum, sqrt_fraction
+from crosscap.extrapolation import (_transform, convergence_rows,
+                                    estimate_stokes, probe_richardson)
 from crosscap.sequences import u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import quadrangulation_counts, rp2_correlator_series
@@ -195,18 +201,21 @@ BUILDERS = {
 }
 
 
+TABLES = {
+    sequences: ("_U", "_U_INT", "_V", "_V_INT"),
+    transseries: ("_MU", "_MU_INT", "_NU", "_NU_INT", "_VK_EXTRA", "_VK_INT",
+                  "_PLUS", "_MINUS", "_PLUS_INT", "_MINUS_INT", "_PV0", "_M2G"),
+    specgeom: ("_QUAD",),
+}
+
+
 @contextmanager
 def fresh_caches():
     """Empty stand-ins for every module-level table, for one block."""
-    with patch.object(sequences, "_U", []), patch.object(sequences, "_V", []), \
-            patch.object(transseries, "_MU", []), \
-            patch.object(transseries, "_NU", []), \
-            patch.object(transseries, "_VK_EXTRA", []), \
-            patch.object(transseries, "_PLUS", []), \
-            patch.object(transseries, "_MINUS", []), \
-            patch.object(transseries, "_PV0", []), \
-            patch.object(transseries, "_M2G", []), \
-            patch.object(specgeom, "_QUAD", []):
+    with ExitStack() as stack:
+        for module, names in TABLES.items():
+            for name in names:
+                stack.enter_context(patch.object(module, name, []))
         yield
 
 
@@ -406,3 +415,97 @@ def test_quad_stepwise_build_matches_reference(steps):
             assert counts == ref[:n], n
             counts.append(0)  # the caller's list, not the cache
         assert quadrangulation_counts(QUAD_N) == ref
+
+
+# ---------------------------------------------------------------------------
+# Richardson probes
+# ---------------------------------------------------------------------------
+
+def ref_sqrt3_parts(row):
+    """q_m = (A/2)^m row[m] / (sqrt3 Gamma(m)) for m >= 1 (entry 0 reads 0),
+    c_m (4/5)^m 3^floor(m/2) / (m-1)! with c_m the nonzero part of row[m]."""
+    out, num, den = [0], 1, 1
+    for m in range(1, len(row)):
+        num *= 12 if m % 2 == 0 else 4
+        den *= 5 * max(m - 1, 1)
+        c, rest = (row[m].b, row[m].a) if m % 2 == 0 else (row[m].a, row[m].b)
+        assert not rest, f"entry {m} breaks the parity rule"
+        out.append(Fraction(c.numerator * num, c.denominator * den))
+    return out
+
+
+def ref_lam_pow_3(row3):
+    """v_{l,3} lam^l, lam = A/2, rational by parity."""
+    return [(e.a if l % 2 == 0 else e.b) * Fraction(4, 5) ** l
+            * 3 ** ((l + 1) // 2) for l, e in enumerate(row3)]
+
+
+def ref_probe(which, lo, top):
+    """Probe ``which`` over lo..top as (constant, exact sequence) parts."""
+    if which in ("s", "r"):
+        q = ref_sqrt3_parts(v_seq(top))
+        if which == "s":
+            return [((2, 1, 3), q)]
+        return [((1, 1, 2), [m * x for m, x in enumerate(q)]),
+                ((-1, 0, 1), range(top + 1))]
+    table, width = vk_table(top, 3), top // 2
+    lead = ref_sqrt3_parts(table.row(2))
+    lam_pow_3 = ref_lam_pow_3(table.row(3)[:width + 1])
+    signed_lead, brace = {}, {}
+    for m in range(lo, top + 1):
+        acc, prod = Fraction(0), 1
+        for l in range(min(m // 2, width, m - 1) + 1):
+            prod *= m - l if l else 1
+            acc += lam_pow_3[l] / prod
+        signed_lead[m], brace[m] = (-1) ** m * lead[m], (-1) ** m * acc
+    return [((2, 1, 3), signed_lead), ((-3, 0, 6), brace)]
+
+
+def ref_round(parts, order, n, dps):
+    return round_sum([(const, _transform(x, order, n)) for const, x in parts],
+                     dps)
+
+
+def library_probe(which, order, n, dps):
+    if which == "sminus1":
+        return estimate_stokes("sminus1", n, order, dps).value
+    return probe_richardson(which, order, n, dps).value
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.sampled_from(["s", "r", "sminus1"]), n=st.integers(1, 300),
+       order=st.integers(0, 30), dps=st.integers(30, 250))
+def test_probe_matches_reference_bit_for_bit(which, n, order, dps):
+    ref = ref_round(ref_probe(which, n, n + order), order, n, dps)
+    assert library_probe(which, order, n, dps)._mpf_ == ref._mpf_
+
+
+def test_convergence_rows_match_reference():
+    n_max, orders, dps = 120, (0, 1, 5), 100
+    for which in ("s", "r", "sminus1"):
+        parts = ref_probe(which, 1, n_max + max(orders))
+        ref = [(n, *(ref_round(parts, N, n, dps)._mpf_ for N in orders))
+               for n in range(1, n_max + 1)]
+        rows = convergence_rows(which, n_max, orders, dps)
+        assert [(n, *(x._mpf_ for x in xs)) for n, *xs in rows] == ref, which
+
+
+def test_probe_closed_forms():
+    top = 200
+    q = ref_sqrt3_parts(v_seq(top))
+    big_v = sequences._V_INT
+    assert all(Fraction(big_v[m], 10 ** m * factorial(m - 1)) == q[m]
+               for m in range(1, top + 1))
+    table = vk_table(top, 3)
+    lead = ref_sqrt3_parts(table.row(2))
+    lam_pow_3 = ref_lam_pow_3(table.row(3))
+    big_w2, big_w3 = transseries._VK_INT[0], transseries._VK_INT[1]
+    assert all(Fraction(big_w2[m], 6 * 50 ** m * factorial(m) * factorial(m - 1))
+               == lead[m] for m in range(1, top + 1))
+    assert all(Fraction(big_w3[l], 12 * 100 ** l * factorial(l)) == lam_pow_3[l]
+               for l in range(top + 1))
+    # the order-N transform of x_m = m
+    for order in range(31):
+        for n in range(1, top + 1, 3):
+            assert Fraction(*_transform(range(n + order + 1), order, n)) \
+                == Fraction((order + 1) * (2 * n + order), 2), (order, n)

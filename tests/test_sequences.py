@@ -4,8 +4,9 @@ import pytest
 
 from crosscap.asymptotics import HALF_ACTION
 from crosscap.exactnum import QF3, SymConst
-from crosscap.sequences import (extend_u, extend_v, intersection_number,
-                                p_of_g, t_of_g, u_seq, v_seq)
+from crosscap.sequences import (_from_scaled, extend_u, extend_v,
+                                intersection_number, p_of_g, t_of_g, u_seq,
+                                v_seq)
 
 
 class TestUSeq:
@@ -22,9 +23,9 @@ class TestUSeq:
         assert all(x < 0 for x in u[1:])
 
     def test_prefix_extension_matches_scratch(self):
-        full: list[Fraction] = []
+        full: list[int] = []
         extend_u(full, 60)
-        partial: list[Fraction] = []
+        partial: list[int] = []
         extend_u(partial, 50)
         extend_u(partial, 60)
         assert partial == full
@@ -50,15 +51,17 @@ class TestVSeq:
                 assert x.b == 0, n
 
     def test_prefix_extension_matches_scratch(self):
-        u: list[Fraction] = []
+        u: list[int] = []
         extend_u(u, 30)
-        full: list[QF3] = []
+        full: list[int] = []
         extend_v(full, u, 60)
-        partial: list[QF3] = []
+        partial: list[int] = []
         extend_v(partial, u, 50)
         extend_v(partial, u, 60)
         assert partial == full
-        assert full == v_seq(60)
+        # R_m = 8^m sqrt3^(m-1) v_m
+        assert [_from_scaled(r, 8 ** m, m - 1)
+                for m, r in enumerate(full)] == v_seq(60)
 
     def test_growth_law(self):
         # (A/2) |v_{n+1}| / (n |v_n|) -> 1, within 2/n for n in 50..250

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
@@ -59,6 +60,14 @@ class TestQuadrangulationCounts:
         assert len(counts) == 20
         assert all(isinstance(c, int) and c > 0 for c in counts)
         assert all(b > a for a, b in zip(counts, counts[1:]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 120))
+    def test_positive_integers_from_the_known_start(self, n):
+        counts = quadrangulation_counts(n)
+        assert len(counts) == n
+        assert all(type(c) is int and c > 0 for c in counts)
+        assert counts[:5] == [5, 38, 331, 3098, 30330][:n]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):

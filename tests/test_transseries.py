@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -8,6 +9,21 @@ from crosscap.sequences import u_seq, v_seq
 from crosscap.series import Series
 from crosscap.transseries import (TransseriesError, mu_seq, nu_seq, seed_v0k,
                                   vk_table, vpm_series)
+
+
+FACTORIZATION_ORDER = 200
+
+
+@cache
+def factorization_rhs(k):
+    """(-1)^(k-1) v_plus^(k-1) v_minus^k (1 - v_plus vhat_0), each k from
+    the one before it."""
+    plus, minus = vpm_series(FACTORIZATION_ORDER)
+    if k > 1:
+        return -factorization_rhs(k - 1) * (plus * minus)
+    zero = QF3(0)
+    vhat0 = Series([zero, zero] + v_seq(FACTORIZATION_ORDER)[2:], 0, zero)
+    return minus * (1 - plus * vhat0)
 
 
 def over_sqrt3(num, den):
@@ -137,12 +153,7 @@ class TestVpm:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_factorization_identity(self, k):
         # vhat_k = (-1)^(k-1) v_plus^(k-1) v_minus^k (1 - v_plus vhat_0)
-        order = 40
-        plus, minus = vpm_series(order)
-        zero = QF3(0)
-        vhat0 = Series([zero, zero] + v_seq(order)[2:], 0, zero)
-        rhs = minus * (1 - plus * vhat0) * (-1) ** (k - 1)
-        for _ in range(k - 1):
-            rhs = rhs * plus * minus
-        assert rhs.order == order
-        assert rhs.coefficients(0, order) == vk_table(order, k).row(k)
+        rhs = factorization_rhs(k)
+        assert rhs.order == FACTORIZATION_ORDER
+        assert rhs.coefficients(0, FACTORIZATION_ORDER) \
+            == vk_table(FACTORIZATION_ORDER, k).row(k)
