@@ -143,7 +143,8 @@ def _probe(which: str, top: int):
         return parts
     if which != "sminus1":
         raise ValueError(f"unknown probe {which!r}")
-    vk_table(top, 3)
+    vk_table(top, 2)
+    vk_table(top // 2, 3)  # the braces read row 3 through top//2 only
     big_w2, big_w3 = transseries._VK_INT[0], transseries._VK_INT[1]
     braces: dict = {}
 
