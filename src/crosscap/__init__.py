@@ -8,8 +8,8 @@ from .exactnum import (DEFAULT_DPS, QF3, SQRT3, SymConst, GammaPoleError,
                        rational_to_float)
 from .series import Series, SeriesError
 from .sequences import (intersection_number, p_of_g, t_of_g, u_seq, v_seq)
-from .transseries import (TransseriesError, VkTable, mu_seq, nu_seq,
-                          seed_v0k, vk_table, vpm_series)
+from .transseries import (VkTable, mu_seq, nu_seq, seed_v0k, vk_table,
+                          vpm_series)
 from .asymptotics import (HALF_ACTION, INSTANTON_ACTION, asym_u, asym_v,
                           asym_vk, relative_error)
 from .extrapolation import (FloatSeq, PrecisionWarning, RichardsonResult,
@@ -25,8 +25,7 @@ __all__ = [
     "SymbolicConstantError", "gamma_half_integer", "rational_to_float",
     "Series", "SeriesError",
     "u_seq", "v_seq", "t_of_g", "p_of_g", "intersection_number",
-    "TransseriesError", "VkTable", "mu_seq", "nu_seq", "seed_v0k",
-    "vk_table", "vpm_series",
+    "VkTable", "mu_seq", "nu_seq", "seed_v0k", "vk_table", "vpm_series",
     "INSTANTON_ACTION", "HALF_ACTION", "asym_u", "asym_v", "asym_vk",
     "relative_error",
     "FloatSeq", "PrecisionWarning", "RichardsonResult", "StokesEstimate",

@@ -128,7 +128,7 @@ def _probe(which: str, top: int):
     """
     if which in ("s", "r"):
         v_seq(top)
-        big_v = sequences._V_INT
+        big_v = sequences.V.ints
 
         def parts(order: int, n: int) -> list:
             weights, last = _weights(order, n), n + order
@@ -143,7 +143,7 @@ def _probe(which: str, top: int):
         raise ValueError(f"unknown probe {which!r}")
     vk_table(top, 2)
     vk_table(top // 2, 3)  # the braces read row 3 through top//2 only
-    big_w2, big_w3 = transseries._VK_INT[0], transseries._VK_INT[1]
+    big_w2, big_w3 = transseries.ROWS[2].ints, transseries.ROWS[3].ints
     braces: dict = {}
 
     def parts(order: int, n: int) -> list:

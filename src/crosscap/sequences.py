@@ -9,10 +9,9 @@ with v_0 = -sqrt3 and u at a non-integer index read as 0.  From these the
 orientable-surface constants t_g, the non-orientable constants p_g, and the
 psi-class intersection numbers are exact one-liners.
 
-Both builders cache: asking for N after M < N reuses the first M+1 entries.
-The tables are stored as scaled integers (U_m = 96^m u_m and
-R_m = 8^m sqrt3^(m-1) v_m), on which the recursions run; each entry also
-becomes a Fraction or QF3 once, when it is added to the cache.
+Both builders cache in a ``Table``: asking for N after M < N reuses the
+first M+1 entries.  The recursions run on the scaled integers
+U_m = 96^m u_m and R_m = 8^m sqrt3^(m-1) v_m.
 """
 
 from __future__ import annotations
@@ -23,10 +22,41 @@ from math import factorial
 
 from .exactnum import QF3, SymConst
 
-# Held while a cached table grows.  A hit reads a prefix that was published
-# whole by one list.extend and takes no lock; the nested tables a build
-# needs are filled (each under the lock) before the lock is taken.
+# Held while a cached table grows; see Table.upto.
 _EXTEND_LOCK = threading.Lock()
+
+
+class Table:
+    """A cached exact table: the scaled integers ``ints``, which its
+    recursion ``grow(ints, n)`` extends through index n in place, and the
+    public entries ``values``, ``value(x, m)`` for the integer x at index m.
+    ``needs(n)`` fills the tables that entries through n read.
+    """
+
+    def __init__(self, grow, value, needs=lambda n: None) -> None:
+        self.ints: list = []
+        self.values: list = []
+        self.grow, self.value, self.needs = grow, value, needs
+
+    def upto(self, n: int) -> list:
+        """Entries 0..n, the table grown first if it is shorter.
+
+        ``needs`` runs first, outside the lock, which is not reentrant; the
+        tables it fills take the lock in turn.  Then, under the lock, the
+        integers grow and the new values are published last, by one
+        list.extend.  So a hit, which reads the length of ``values``, finds
+        the integers in place and takes no lock.
+        """
+        values = self.values
+        if len(values) <= n:
+            self.needs(n)
+            with _EXTEND_LOCK:
+                start = len(values)
+                if start <= n:
+                    self.grow(self.ints, n)
+                    values.extend([self.value(x, m) for m, x in
+                                   enumerate(self.ints[start:n + 1], start)])
+        return values[: n + 1]
 
 
 def _half_self_convolution(xs: list[int], m: int) -> int:
@@ -76,42 +106,24 @@ def extend_v(big: list[int], big_u: list[int], n: int) -> None:
         big.append(r)
 
 
-# Each table is stored as its scaled integers, which the recursions and the
-# Richardson probes read, beside the public values built from them once.
-# An extension appends to the integers first and publishes the new values
-# last, by one list.extend, so a hit (which reads the public list's length)
-# finds the integers in place too.
-_U: list[Fraction] = []
-_U_INT: list[int] = []
-_V: list[QF3] = []
-_V_INT: list[int] = []
+U = Table(extend_u, lambda x, m: Fraction(x, 96 ** m))
+V = Table(lambda big, n: extend_v(big, U.ints, n),
+          lambda x, m: _from_scaled(x, 8 ** m, m - 1),
+          lambda n: u_seq(n // 2))
 
 
 def u_seq(n: int) -> list[Fraction]:
     """u_0 .. u_n, exact."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if len(_U) <= n:
-        with _EXTEND_LOCK:
-            if len(_U) <= n:
-                extend_u(_U_INT, n)
-                _U.extend([Fraction(_U_INT[m], 96 ** m)
-                           for m in range(len(_U), n + 1)])
-    return _U[: n + 1]
+    return U.upto(n)
 
 
 def v_seq(n: int) -> list[QF3]:
     """v_0 .. v_n, exact elements of Q(sqrt3)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if len(_V) <= n:
-        u_seq(n // 2)
-        with _EXTEND_LOCK:
-            if len(_V) <= n:
-                extend_v(_V_INT, _U_INT, n)
-                _V.extend([_from_scaled(_V_INT[m], 8 ** m, m - 1)
-                           for m in range(len(_V), n + 1)])
-    return _V[: n + 1]
+    return V.upto(n)
 
 
 def t_of_g(g: int) -> SymConst:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .sequences import _EXTEND_LOCK
+from .sequences import Table
 from .series import Series
 
 
@@ -64,7 +64,19 @@ def rp2_correlator_series(order: int) -> Series:
     return corr.truncate(order)
 
 
-_QUAD: list[int] = []
+def _extend_quad(big: list[int], top: int) -> None:
+    """Grow the counts big[m] = c_{m+1} in place through m = top, from the
+    correlator series computed afresh."""
+    corr = rp2_correlator_series(max(1, top))
+    for m in range(len(big), top + 1):
+        q = corr.coefficient(m) / Fraction(-4) ** m
+        if q.denominator != 1 or q <= 0:
+            raise SpectralCurveError(
+                f"c_{m + 1} = {q} is not a positive integer")
+        big.append(int(q))
+
+
+QUAD = Table(_extend_quad, lambda x, m: x)
 
 
 def quadrangulation_counts(n_max: int) -> list[int]:
@@ -76,15 +88,4 @@ def quadrangulation_counts(n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if len(_QUAD) >= n_max:
-        return _QUAD[:n_max]
-    corr = rp2_correlator_series(max(1, n_max - 1))
-    counts = []
-    for n in range(1, n_max + 1):
-        q = corr.coefficient(n - 1) / Fraction(-4) ** (n - 1)
-        if q.denominator != 1 or q <= 0:
-            raise SpectralCurveError(f"c_{n} = {q} is not a positive integer")
-        counts.append(int(q))
-    with _EXTEND_LOCK:
-        _QUAD.extend(counts[len(_QUAD):])
-    return counts
+    return QUAD.upto(n_max - 1)

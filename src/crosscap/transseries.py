@@ -11,9 +11,8 @@ follow
                 + 1/2 sum_{i=1}^{k-1} sum_{l=0}^{n+1} v_{l,i} v_{n+1-l,k-i} }
 
 seeded by the closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k).  These
-recursions, and those of mu, nu and the pair below, run on scaled integers,
-which are the stored form of each table; an entry also becomes a QF3 once,
-when it is added to the cache.
+recursions, and those of mu, nu and the pair below, run on scaled integers;
+each table is a ``Table``, and the rows form the list ``ROWS``.
 
 ``vpm_series`` recovers the two formal power series v_plus, v_minus with
 
@@ -28,19 +27,10 @@ from __future__ import annotations
 from math import factorial
 
 from .exactnum import QF3
-from . import sequences
-from .sequences import _EXTEND_LOCK, _from_scaled, u_seq, v_seq
+from .sequences import _EXTEND_LOCK, U, V, Table, _from_scaled, u_seq, v_seq
 from .series import Series
 
 _QZERO = QF3(0)
-
-
-class TransseriesError(ValueError):
-    """Order-by-order solve hit an unsolvable order."""
-
-    def __init__(self, order: int, message: str) -> None:
-        super().__init__(f"order {order}: {message}")
-        self.order = order
 
 
 def _mu_den(l: int) -> int:
@@ -89,40 +79,26 @@ def extend_nu(big: list[int], big_v: list[int], n: int) -> None:
         big.append(-acc)
 
 
-# Stored like the tables of ``sequences``: the scaled integers, extended
-# first, and the public values, published last.
-_MU: list[QF3] = []
-_MU_INT: list[int] = []
-_NU: list[QF3] = []
-_NU_INT: list[int] = []
+MU = Table(lambda big, n: extend_mu(big, U.ints, n),
+           lambda x, l: _from_scaled(x, _mu_den(l), l),
+           lambda n: u_seq((n + 1) // 2))
+NU = Table(lambda big, n: extend_nu(big, V.ints, n),
+           lambda x, m: _from_scaled(x, _vk_den(m, 1), m),
+           lambda n: v_seq(n + 1))
 
 
 def mu_seq(n: int) -> list[QF3]:
     """mu_0 .. mu_n, the u-sector one-instanton coefficients."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if len(_MU) <= n:
-        u_seq((n + 1) // 2)
-        with _EXTEND_LOCK:
-            if len(_MU) <= n:
-                extend_mu(_MU_INT, sequences._U_INT, n)
-                _MU.extend([_from_scaled(_MU_INT[l], _mu_den(l), l)
-                            for l in range(len(_MU), n + 1)])
-    return _MU[: n + 1]
+    return MU.upto(n)
 
 
 def nu_seq(n: int) -> list[QF3]:
     """nu_0 .. nu_n, the v-sector one-instanton coefficients."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if len(_NU) <= n:
-        v_seq(n + 1)
-        with _EXTEND_LOCK:
-            if len(_NU) <= n:
-                extend_nu(_NU_INT, sequences._V_INT, n)
-                _NU.extend([_from_scaled(_NU_INT[m], _vk_den(m, 1), m)
-                            for m in range(len(_NU), n + 1)])
-    return _NU[: n + 1]
+    return NU.upto(n)
 
 
 def seed_v0k(k: int) -> QF3:
@@ -151,10 +127,6 @@ class VkTable:
 
     def row(self, k: int) -> list[QF3]:
         return list(self._rows[k])
-
-
-_VK_EXTRA: list[list[QF3]] = []  # rows k >= 2, entry 0 is row k=2
-_VK_INT: list[list[int]] = []  # their integers W_{n,k}
 
 
 def _extend_vk_row(k: int, big: list[int], lower: list[list[int]],
@@ -204,41 +176,33 @@ def _extend_vk_row(k: int, big: list[int], lower: list[list[int]],
                      + dbl // (k - 1)))
 
 
+# Row k of v_{n,k} is ROWS[k]: row 0 is v, row 1 is nu.
+ROWS: list[Table] = [V, NU]
+
+
+def _row(k: int) -> Table:
+    """Row k >= 2 as a table, grown from the integers of the rows below it."""
+    return Table(
+        lambda big, n: _extend_vk_row(k, big, [r.ints for r in ROWS[:k]], n),
+        lambda x, n: _from_scaled(x, _vk_den(n, k), n + k - 1),
+        lambda n: vk_table(n, k - 1))
+
+
 def vk_table(n_max: int, k_max: int) -> VkTable:
     """Exact table of v_{n,k} for n <= n_max, k <= k_max."""
     if n_max < 0 or k_max < 0:
         raise ValueError("table bounds must be non-negative")
-    rows: list[list[QF3]] = [v_seq(n_max)]
-    if k_max >= 1:
-        rows.append(nu_seq(n_max))
-    # a row never outgrows the rows below it, so row k_max is the shortest
-    if k_max >= 2 and (len(_VK_EXTRA) < k_max - 1
-                       or len(_VK_EXTRA[k_max - 2]) <= n_max):
+    if len(ROWS) <= k_max:
         with _EXTEND_LOCK:
-            lower = [sequences._V_INT, _NU_INT]
-            for k in range(2, k_max + 1):
-                if len(_VK_EXTRA) < k - 1:
-                    _VK_INT.append([])
-                    _VK_EXTRA.append([])
-                big, row = _VK_INT[k - 2], _VK_EXTRA[k - 2]
-                _extend_vk_row(k, big, lower, n_max)
-                row.extend([_from_scaled(big[n], _vk_den(n, k), n + k - 1)
-                            for n in range(len(row), len(big))])
-                lower.append(big)
-    rows += [row[: n_max + 1] for row in _VK_EXTRA[: k_max - 1]]
-    return VkTable(rows)
-
-
-# The factorization pair, stored like the tables: the integers of v_plus
-# and v_minus and of the two series their recursion reads, pv0 = v_plus
-# vhat_0 and m2g = v_minus nu, all four of one length and extended first;
-# then the public v_plus and, last, v_minus, whose length a hit reads.
-_PLUS: list[QF3] = []
-_MINUS: list[QF3] = []
-_PLUS_INT: list[int] = []
-_MINUS_INT: list[int] = []
-_PV0: list[int] = []
-_M2G: list[int] = []
+            while len(ROWS) <= k_max:
+                ROWS.append(_row(len(ROWS)))
+    # a row never outgrows the rows below it, so row k_max is the shortest
+    if len(ROWS[k_max].values) <= n_max:
+        v_seq(n_max)
+        if k_max >= 1:
+            nu_seq(n_max)
+        ROWS[k_max].upto(n_max)
+    return VkTable([row.values[: n_max + 1] for row in ROWS[: k_max + 1]])
 
 
 def _binomial_dot(binom: list[int], xs: list[int], ys: list[int], n: int,
@@ -251,10 +215,10 @@ def _binomial_dot(binom: list[int], xs: list[int], ys: list[int], n: int,
                    reversed(ys[n - top: n + 1])))
 
 
-def _extend_vpm(big_v: list[int], big_nu: list[int], big_w2: list[int],
-                order: int) -> None:
-    """Grow the integers of the cached pair through x^-order, one order at a
-    time.
+def _extend_vpm(big: list[tuple[int, int, int, int]], big_v: list[int],
+                big_nu: list[int], big_w2: list[int], order: int) -> None:
+    """Grow the integers (P_n, Q_n, Y_n, G_n) of the pair in ``big`` in place
+    through n = order, one order at a time.
 
     With g = 1 - v_plus vhat_0, the k = 1 identity reads v_minus g = nu and
     the k = 2 identity v_plus v_minus (v_minus g) = -vhat_2.  With
@@ -272,14 +236,14 @@ def _extend_vpm(big_v: list[int], big_nu: list[int], big_w2: list[int],
         G_n = sum_{i<=n} C(n,i) Q_i S_{n-i},
         P_n = -(W_{n,2} + sum_{i<n} C(n,i) P_i G_{n-i}),
 
-    all integers (G_0 = Q_0 S_0 = 1; R_j is even for j >= 1).  The new
-    entries of the four lists are appended by one ``list.extend`` each.
+    all integers (G_0 = Q_0 S_0 = 1; R_j is even for j >= 1).
     """
-    plus, minus, pv0, m2g = _PLUS_INT[:], _MINUS_INT[:], _PV0[:], _M2G[:]
+    start = len(big)
+    plus, minus, pv0, m2g = map(list, zip(*big)) if big else ([], [], [], [])
     # 5^j j! R_j / 2: vhat_0 in the scale of Y, from j = 2
     v_hat = [0, 0] + [5 ** j * factorial(j) * (big_v[j] >> 1)
                       for j in range(2, order + 1)]
-    for n in range(len(minus), order + 1):
+    for n in range(start, order + 1):
         binom = [1]
         for i in range(n):
             binom.append(binom[i] * (n - i) // (i + 1))
@@ -287,9 +251,16 @@ def _extend_vpm(big_v: list[int], big_nu: list[int], big_w2: list[int],
         minus.append(big_nu[n] + _binomial_dot(binom, minus, pv0, n, n - 2))
         m2g.append(_binomial_dot(binom, minus, big_nu, n, n))
         plus.append(-big_w2[n] - _binomial_dot(binom, plus, m2g, n, n - 1))
-    for cached, built in ((_PV0, pv0), (_M2G, m2g), (_PLUS_INT, plus),
-                          (_MINUS_INT, minus)):
-        cached.extend(built[len(cached):])
+    big.extend(zip(plus[start:], minus[start:], pv0[start:], m2g[start:]))
+
+
+# The pair: PLUS holds the integers (P_n, Q_n, Y_n, G_n), MINUS a copy of Q.
+PLUS = Table(lambda big, n: _extend_vpm(big, V.ints, NU.ints, ROWS[2].ints, n),
+             lambda x, n: _from_scaled(x[0], _vk_den(n, 2), n + 1),
+             lambda n: vk_table(n, 2))
+MINUS = Table(
+    lambda big, n: big.extend(x[1] for x in PLUS.ints[len(big):n + 1]),
+    NU.value, PLUS.upto)
 
 
 def vpm_series(order: int) -> tuple[Series, Series]:
@@ -301,16 +272,6 @@ def vpm_series(order: int) -> tuple[Series, Series]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if len(_MINUS) <= order:
-        table = vk_table(order, 2)
-        if not table.value(0, 1):
-            raise TransseriesError(0, "v_{0,1} vanishes; normalization broken")
-        with _EXTEND_LOCK:
-            if len(_MINUS) <= order:
-                _extend_vpm(sequences._V_INT, _NU_INT, _VK_INT[0], order)
-                _PLUS.extend([_from_scaled(_PLUS_INT[n], _vk_den(n, 2), n + 1)
-                              for n in range(len(_PLUS), order + 1)])
-                _MINUS.extend([_from_scaled(_MINUS_INT[n], _vk_den(n, 1), n)
-                               for n in range(len(_MINUS), order + 1)])
-    return (Series(_PLUS[: order + 1], 0, _QZERO),
-            Series(_MINUS[: order + 1], 0, _QZERO))
+    minus = MINUS.upto(order)
+    return (Series(PLUS.values[: order + 1], 0, _QZERO),
+            Series(minus, 0, _QZERO))

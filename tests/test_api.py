@@ -1,10 +1,11 @@
 import crosscap
-from crosscap import asymptotics, exactnum
+from crosscap import asymptotics, exactnum, transseries
 
 REMOVED = {
     crosscap: ("AsymParams", "const_pi", "const_sqrt2", "const_sqrt3",
-               "const_sqrt6"),
+               "const_sqrt6", "TransseriesError"),
     asymptotics: ("AsymParams", "gamma_exact_half"),
+    transseries: ("TransseriesError",),
     exactnum: ("const_pi", "const_sqrt2", "const_sqrt3", "const_sqrt6",
                "RationalLike"),
 }

@@ -27,7 +27,7 @@ from crosscap import sequences, specgeom, transseries
 from crosscap.exactnum import QF3, round_sum, sqrt_fraction
 from crosscap.extrapolation import (_transform, convergence_rows,
                                     estimate_stokes, probe_richardson)
-from crosscap.sequences import u_seq, v_seq
+from crosscap.sequences import Table, u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import quadrangulation_counts, rp2_correlator_series
 from crosscap.transseries import mu_seq, nu_seq, vk_table, vpm_series
@@ -201,21 +201,19 @@ BUILDERS = {
 }
 
 
-TABLES = {
-    sequences: ("_U", "_U_INT", "_V", "_V_INT"),
-    transseries: ("_MU", "_MU_INT", "_NU", "_NU_INT", "_VK_EXTRA", "_VK_INT",
-                  "_PLUS", "_MINUS", "_PLUS_INT", "_MINUS_INT", "_PV0", "_M2G"),
-    specgeom: ("_QUAD",),
-}
-
-
 @contextmanager
 def fresh_caches():
-    """Empty stand-ins for every module-level table, for one block."""
+    """Empty stand-ins for every table in the crosscap modules, and rows
+    k >= 2 dropped, for one block."""
+    tables = {id(x): x for name, module in list(sys.modules.items())
+              if name.startswith("crosscap.")
+              for x in vars(module).values() if isinstance(x, Table)}
     with ExitStack() as stack:
-        for module, names in TABLES.items():
-            for name in names:
-                stack.enter_context(patch.object(module, name, []))
+        for table in tables.values():
+            stack.enter_context(patch.object(table, "ints", []))
+            stack.enter_context(patch.object(table, "values", []))
+        stack.enter_context(patch.object(
+            transseries, "ROWS", [sequences.V, transseries.NU]))
         yield
 
 
@@ -300,6 +298,20 @@ def test_concurrent_builds_match_serial():
             assert race() == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_cache_hit_takes_no_lock():
+    hits = (lambda: u_seq(30), lambda: v_seq(30), lambda: mu_seq(30),
+            lambda: nu_seq(30), lambda: vk_table(30, 3),
+            lambda: vpm_series(30), lambda: quadrangulation_counts(30))
+    for hit in hits:
+        hit()
+    with sequences._EXTEND_LOCK:
+        for i, hit in enumerate(hits):
+            t = threading.Thread(target=hit, daemon=True)
+            t.start()
+            t.join(timeout=5)
+            assert not t.is_alive(), i
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +505,13 @@ def test_convergence_rows_match_reference():
 def test_probe_closed_forms():
     top = 200
     q = ref_sqrt3_parts(v_seq(top))
-    big_v = sequences._V_INT
+    big_v = sequences.V.ints
     assert all(Fraction(big_v[m], 10 ** m * factorial(m - 1)) == q[m]
                for m in range(1, top + 1))
     table = vk_table(top, 3)
     lead = ref_sqrt3_parts(table.row(2))
     lam_pow_3 = ref_lam_pow_3(table.row(3))
-    big_w2, big_w3 = transseries._VK_INT[0], transseries._VK_INT[1]
+    big_w2, big_w3 = transseries.ROWS[2].ints, transseries.ROWS[3].ints
     assert all(Fraction(big_w2[m], 6 * 50 ** m * factorial(m) * factorial(m - 1))
                == lead[m] for m in range(1, top + 1))
     assert all(Fraction(big_w3[l], 12 * 100 ** l * factorial(l)) == lam_pow_3[l]

@@ -7,8 +7,8 @@ from crosscap.asymptotics import INSTANTON_ACTION
 from crosscap.exactnum import QF3, SQRT3
 from crosscap.sequences import u_seq, v_seq
 from crosscap.series import Series
-from crosscap.transseries import (TransseriesError, mu_seq, nu_seq, seed_v0k,
-                                  vk_table, vpm_series)
+from crosscap.transseries import (mu_seq, nu_seq, seed_v0k, vk_table,
+                                  vpm_series)
 
 
 FACTORIZATION_ORDER = 200
