@@ -108,11 +108,11 @@ def _lead_step(m: int) -> int:
 
 def _brace(big_w3: list[int], m: int) -> Fraction:
     """B_m = sum_{l <= L} v_{l,3} lam^l / ((m-1) ... (m-l)), L = m//2,
-    lam = A/2, with v_{l,3} lam^l = W_{l,3} / (12 100^l l!): one Horner sum,
-    step 100 l (m-l), over 12 100^L L! (m-1) ... (m-L)."""
+    lam = A/2, with v_{l,3} lam^l = W_{l,3} / (12 50^l l!): one Horner sum,
+    step 50 l (m-l), over 12 50^L L! (m-1) ... (m-L)."""
     top = m // 2
-    num = _horner([1] * (top + 1), big_w3, 0, lambda l: 100 * l * (m - l))
-    return Fraction(num, 12 * 100 ** top * factorial(top)
+    num = _horner([1] * (top + 1), big_w3, 0, lambda l: 50 * l * (m - l))
+    return Fraction(num, 12 * 50 ** top * factorial(top)
                     * factorial(m - 1) // factorial(m - top - 1))
 
 

@@ -10,16 +10,22 @@ follow
                 + sum_{l=2}^{n+1} v_{n+1-l,k} v_l
                 + 1/2 sum_{i=1}^{k-1} sum_{l=0}^{n+1} v_{l,i} v_{n+1-l,k-i} }
 
-seeded by the closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k).  These
-recursions, and those of mu, nu and the pair below, run on scaled integers;
-each table is a ``Table``, and the rows form the list ``ROWS``.
+seeded by the closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k).  The sectors
+are geometric: with vhat_k = sum_{n>=0} v_{n,k} x^-n,
 
-``vpm_series`` recovers the two formal power series v_plus, v_minus with
+    vhat_k = nu w^(k-1),  k >= 1,
+
+for one series w with a first-order recursion (``_extend_omega``), so row
+k is row k-1 times w.  These recursions, and those of mu, nu and the pair
+below, run on scaled integers; each table is a ``Table``, and the rows
+form the list ``ROWS``.
+
+``vpm_series`` gives the two formal power series v_plus, v_minus with
 
     vhat_k = (-1)^(k-1) v_plus^(k-1) v_minus^k (1 - v_plus vhat_0),  k >= 1,
 
-where vhat_0 = sum_{n>=2} v_n x^-n and vhat_k = sum_{n>=0} v_{n,k} x^-n,
-by solving the k = 1 and k = 2 identities order by order.
+where vhat_0 = sum_{n>=2} v_n x^-n.  Its cases k = 2 and k = 1 read
+w = -v_plus v_minus and v_minus = nu - w vhat_0, and then every k holds.
 """
 
 from __future__ import annotations
@@ -57,8 +63,8 @@ def extend_mu(big: list[int], big_u: list[int], n: int) -> None:
 
 
 def _vk_den(n: int, k: int) -> int:
-    """40^n n! ((k-1)!)^n 2^(k-1): the rational part of the scale of v_{n,k}."""
-    return 40 ** n * factorial(n) * factorial(k - 1) ** n << (k - 1)
+    """40^n n! 2^(k-1): the rational part of the scale of v_{n,k}."""
+    return 40 ** n * factorial(n) << (k - 1)
 
 
 def extend_nu(big: list[int], big_v: list[int], n: int) -> None:
@@ -101,6 +107,36 @@ def nu_seq(n: int) -> list[QF3]:
     return NU.upto(n)
 
 
+def _extend_omega(big: list[int], big_nu: list[int], n: int) -> None:
+    """Grow the integers Omega_j = 40^j j! 2 sqrt3^(j+1) w_j in place through
+    index n, one small-times-big product each,
+
+        Omega_j = -(S_j + 50 j (j-1) Omega_{j-1}),   Omega_0 = -1,
+
+    ``big_nu`` holding S_j through j = n.  Derivation: in z = 1/x, with
+    theta = z d/dz, the row recursion and, at k = 1, nu's recursion are
+
+        E_k:  sqrt3 (k-1) vhat_k + (5/4) z theta vhat_k + vhat_0 vhat_k
+              + (1/2) sum_{i=1}^{k-1} vhat_i vhat_{k-i} = 0,
+
+    the z^0 terms holding by the seed.  Define w = vhat_2 / nu (nu_0 = 1).
+    E_2 - w E_1 is nu (sqrt3 w + (5/4) z theta w + nu/2) = 0, whose z^j term
+    is w_j = -(1/(2 sqrt3)) ((5(j-1)/2) w_{j-1} + nu_j), w_0 = -1/(2 sqrt3):
+    the recursion above in Omega's scale.  For vhat_k = nu w^(k-1) the left
+    side of E_k is w^(k-1) E_1 + (k-1) nu w^(k-2) (that same bracket) = 0,
+    and E_k, k >= 2, fixes row k from the rows below it: row k is nu w^(k-1).
+    """
+    if not big:
+        big.append(-1)
+    for j in range(len(big), n + 1):
+        big.append(-(big_nu[j] + 50 * j * (j - 1) * big[j - 1]))
+
+
+# Only kernels read w, so its entries stay integers: no Fraction is built.
+OMEGA = Table(lambda big, n: _extend_omega(big, NU.ints, n),
+              lambda x, j: x, nu_seq)
+
+
 def seed_v0k(k: int) -> QF3:
     """Closed form v_{0,k} = (-1)^(k-1) (2 sqrt3)^(1-k), k >= 1."""
     if k < 1:
@@ -129,51 +165,27 @@ class VkTable:
         return list(self._rows[k])
 
 
-def _extend_vk_row(k: int, big: list[int], lower: list[list[int]],
-                   n_max: int) -> None:
-    """Grow the integers W_{n,k} of row k in place through index n_max.
+def _binomial_dot(xs: list[int], ys: list[int], n: int, top: int) -> int:
+    """sum_{i<=top} C(n,i) xs[i] ys[n-i]: the x^-n term of a product of two
+    series stored with n! in their scales."""
+    if top < 0:
+        return 0
+    binom = [1]
+    for i in range(top):
+        binom.append(binom[i] * (n - i) // (i + 1))
+    return sum(map(int.__mul__, map(int.__mul__, binom, xs[: top + 1]),
+                   reversed(ys[n - top: n + 1])))
 
-    With c_k = (k-1)!, the row runs on the integers
 
-        W_{n,k} = 40^n n! c_k^n 2^(k-1) sqrt3^(n+k-1) v_{n,k},
-
-    W_{0,k} = (-1)^(k-1); W_{n,1} is S_n.  For N = n+1, with the scaled
-    v-sequence R_l = ``lower[0][l]`` and W_{l,i} = ``lower[i][l]``, i < k,
-
-        -W_{N,k} = 25 (k-2)! N n (2 W_{n,k}
-                       + c_k sum_{l=2}^N 5^(l-2) c_k^(l-2) (n-1)!/(N-l)! R_l W_{N-l,k})
-                   + 1/(k-1) sum_{i=1}^{k-1} sum_{l=0}^N C(N,l)
-                       (c_k/c_i)^l (c_k/c_{k-i})^(N-l) W_{l,i} W_{N-l,k-i},
-
-    every coefficient an integer.  The terms i and k-i of the double sum
-    are equal, so each pair is taken once.
+def _extend_row(big: list[int], lower: list[int], big_omega: list[int],
+                n: int) -> None:
+    """Grow the integers W_{m,k} = 40^m m! 2^(k-1) sqrt3^(m+k-1) v_{m,k} of
+    a row k >= 2 in place through index n from those of row k-1, ``lower``
+    (S_m for k = 2): vhat_k = vhat_{k-1} w reads
+    W_{m,k} = sum_{l<=m} C(m,l) W_{l,k-1} Omega_{m-l}.
     """
-    if not big:
-        big.append((-1) ** (k - 1))
-    if len(big) > n_max:
-        return
-    c_k = factorial(k - 1)
-    big_v = lower[0]
-    pairs = []
-    for i in range(1, k // 2 + 1):
-        a, b = c_k // factorial(i - 1), c_k // factorial(k - i - 1)
-        pairs.append((1 if 2 * i == k else 2,
-                      [a ** l * w for l, w in enumerate(lower[i][: n_max + 1])],
-                      [b ** l * w for l, w in enumerate(lower[k - i][: n_max + 1])]))
-    for n in range(len(big) - 1, n_max):
-        N = n + 1
-        acc = 0
-        for l in range(N, 1, -1):
-            acc = acc * (5 * (N - l) * c_k) + big_v[l] * big[N - l]
-        dbl = 0
-        for weight, xs, ys in pairs:
-            binom, conv = 1, 0
-            for l in range(N + 1):
-                conv += binom * xs[l] * ys[N - l]
-                binom = binom * (N - l) // (l + 1)
-            dbl += weight * conv
-        big.append(-(25 * factorial(k - 2) * N * n * (2 * big[n] + c_k * acc)
-                     + dbl // (k - 1)))
+    for m in range(len(big), n + 1):
+        big.append(_binomial_dot(lower, big_omega, m, m))
 
 
 # Row k of v_{n,k} is ROWS[k]: row 0 is v, row 1 is nu.
@@ -181,11 +193,11 @@ ROWS: list[Table] = [V, NU]
 
 
 def _row(k: int) -> Table:
-    """Row k >= 2 as a table, grown from the integers of the rows below it."""
+    """Row k >= 2 as a table, grown from row k-1 and Omega."""
     return Table(
-        lambda big, n: _extend_vk_row(k, big, [r.ints for r in ROWS[:k]], n),
+        lambda big, n: _extend_row(big, ROWS[k - 1].ints, OMEGA.ints, n),
         lambda x, n: _from_scaled(x, _vk_den(n, k), n + k - 1),
-        lambda n: vk_table(n, k - 1))
+        lambda n: (vk_table(n, k - 1), OMEGA.upto(n)))
 
 
 def vk_table(n_max: int, k_max: int) -> VkTable:
@@ -205,73 +217,44 @@ def vk_table(n_max: int, k_max: int) -> VkTable:
     return VkTable([row.values[: n_max + 1] for row in ROWS[: k_max + 1]])
 
 
-def _binomial_dot(binom: list[int], xs: list[int], ys: list[int], n: int,
-                  top: int) -> int:
-    """sum_{i<=top} C(n,i) xs[i] ys[n-i], with ``binom`` row n of Pascal's
-    triangle."""
-    if top < 0:
-        return 0
-    return sum(map(int.__mul__, map(int.__mul__, binom[: top + 1], xs[: top + 1]),
-                   reversed(ys[n - top: n + 1])))
+def _extend_minus(big: list[int], big_v: list[int], big_nu: list[int],
+                  big_omega: list[int], n: int) -> None:
+    """Grow the integers Q_m = 40^m m! sqrt3^m minus_m (nu's scale) in place
+    through index n: v_minus = nu - w vhat_0 reads, with R_j (even, j >= 1)
+    the scaled v,
 
-
-def _extend_vpm(big: list[tuple[int, int, int, int]], big_v: list[int],
-                big_nu: list[int], big_w2: list[int], order: int) -> None:
-    """Grow the integers (P_n, Q_n, Y_n, G_n) of the pair in ``big`` in place
-    through n = order, one order at a time.
-
-    With g = 1 - v_plus vhat_0, the k = 1 identity reads v_minus g = nu and
-    the k = 2 identity v_plus v_minus (v_minus g) = -vhat_2.  With
-    pv0 = v_plus vhat_0 and m2g = v_minus nu, the recursion runs on
-
-        P_n = 40^n n! 2 sqrt3^(n+1) plus_n   (the scale of row 2),
-        Q_n = 40^n n! sqrt3^n minus_n        (the scale of nu),
-        Y_n = 40^n n! sqrt3^n pv0_n,  G_n = 40^n n! sqrt3^n m2g_n,
-
-    so that, with R_j, S_j and W_{j,2} the scaled v-sequence, nu and row 2,
-    every product of two series is a binomial convolution:
-
-        Y_n = sum_{i<=n-2} C(n,i) 5^(n-i) (n-i)! P_i R_{n-i}/2,
-        Q_n = S_n + sum_{i<=n-2} C(n,i) Q_i Y_{n-i},
-        G_n = sum_{i<=n} C(n,i) Q_i S_{n-i},
-        P_n = -(W_{n,2} + sum_{i<n} C(n,i) P_i G_{n-i}),
-
-    all integers (G_0 = Q_0 S_0 = 1; R_j is even for j >= 1).
+        Q_m = S_m - sum_{i<=m-2} C(m,i) Omega_i 5^(m-i) (m-i)! R_{m-i}/2.
     """
-    start = len(big)
-    plus, minus, pv0, m2g = map(list, zip(*big)) if big else ([], [], [], [])
-    # 5^j j! R_j / 2: vhat_0 in the scale of Y, from j = 2
     v_hat = [0, 0] + [5 ** j * factorial(j) * (big_v[j] >> 1)
-                      for j in range(2, order + 1)]
-    for n in range(start, order + 1):
-        binom = [1]
-        for i in range(n):
-            binom.append(binom[i] * (n - i) // (i + 1))
-        pv0.append(_binomial_dot(binom, plus, v_hat, n, n - 2))
-        minus.append(big_nu[n] + _binomial_dot(binom, minus, pv0, n, n - 2))
-        m2g.append(_binomial_dot(binom, minus, big_nu, n, n))
-        plus.append(-big_w2[n] - _binomial_dot(binom, plus, m2g, n, n - 1))
-    big.extend(zip(plus[start:], minus[start:], pv0[start:], m2g[start:]))
+                      for j in range(2, n + 1)]
+    for m in range(len(big), n + 1):
+        big.append(big_nu[m] - _binomial_dot(big_omega, v_hat, m, m - 2))
 
 
-# The pair: PLUS holds the integers (P_n, Q_n, Y_n, G_n), MINUS a copy of Q.
-PLUS = Table(lambda big, n: _extend_vpm(big, V.ints, NU.ints, ROWS[2].ints, n),
-             lambda x, n: _from_scaled(x[0], _vk_den(n, 2), n + 1),
-             lambda n: vk_table(n, 2))
-MINUS = Table(
-    lambda big, n: big.extend(x[1] for x in PLUS.ints[len(big):n + 1]),
-    NU.value, PLUS.upto)
+def _extend_plus(big: list[int], big_minus: list[int], big_omega: list[int],
+                 n: int) -> None:
+    """Grow the integers P_m = 40^m m! 2 sqrt3^(m+1) plus_m (Omega's scale)
+    in place through index n: v_plus v_minus = -w and Q_0 = 1 give
+    P_m = -(Omega_m + sum_{i<m} C(m,i) P_i Q_{m-i}).
+    """
+    for m in range(len(big), n + 1):
+        big.append(-big_omega[m] - _binomial_dot(big, big_minus, m, m - 1))
+
+
+MINUS = Table(lambda big, n: _extend_minus(big, V.ints, NU.ints, OMEGA.ints, n),
+              NU.value, OMEGA.upto)
+PLUS = Table(lambda big, n: _extend_plus(big, MINUS.ints, OMEGA.ints, n),
+             lambda x, n: _from_scaled(x, _vk_den(n, 2), n + 1), MINUS.upto)
 
 
 def vpm_series(order: int) -> tuple[Series, Series]:
     """The factorization pair (v_plus, v_minus) through x^-order.
 
-    Solved order by order from the k = 1 and k = 2 identities; the k >= 3
-    rows are then determined and serve as independent checks.  Cached like
-    the other tables: a call at or below a built order extends nothing.
+    Built from nu and w, like the rows k >= 2.  Cached like the other
+    tables: a call at or below a built order extends nothing.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    minus = MINUS.upto(order)
-    return (Series(PLUS.values[: order + 1], 0, _QZERO),
-            Series(minus, 0, _QZERO))
+    plus = PLUS.upto(order)
+    return (Series(plus, 0, _QZERO),
+            Series(MINUS.values[: order + 1], 0, _QZERO))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import mpmath
 import pytest
@@ -8,7 +9,7 @@ from crosscap.asymptotics import (HALF_ACTION, INSTANTON_ACTION, asym_u,
                                   asym_v, asym_vk, relative_error)
 from crosscap.exactnum import QF3
 from crosscap.sequences import u_seq, v_seq
-from crosscap.transseries import vk_table
+from crosscap.transseries import mu_seq, nu_seq, vk_table
 
 DPS = 60
 
@@ -145,3 +146,34 @@ def test_truncation_error_falls(n):
             assert errs[6] < mpmath.mpf("1e-4") * errs[0], (name, n)
         else:
             assert all(errs[L + 1] < errs[L] for L in range(6)), (name, n)
+
+
+def first_omitted(coeffs, action, L, step):
+    """|coeffs[L+1] action^(L+1) / prod_{m<=L+1} step(m)| relative to the
+    brace's lead coeffs[0]: the first term a truncation at L leaves out."""
+    term = coeffs[L + 1] * action ** (L + 1) \
+        / prod(step(m) for m in range(1, L + 2)) / coeffs[0]
+    return abs(term.to_float(DPS))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(30, 200))
+def test_truncation_error_is_first_omitted_term(n):
+    # for u, v and v_{n,1}, one direction only, the error of the L-term
+    # expansion is the first omitted term up to a factor of 2 (over all of
+    # n in [30, 200], L <= 6 the ratio spans 0.83-1.86); at k = 2, 3 both
+    # directions contribute and test_truncation_error_falls covers them
+    mu, nu, row2 = mu_seq(7), nu_seq(7), vk_table(7, 2).row(2)
+    cases = {
+        "u": (lambda L: asym_u(n, L, DPS), u_seq(n)[n], mu, INSTANTON_ACTION,
+              lambda m: Fraction(4 * n - 1 - 2 * m, 2)),
+        "v": (lambda L: asym_v(n, L, DPS), v_seq(n)[n], nu, HALF_ACTION,
+              lambda m: Fraction(n - m)),
+        "vk1": (lambda L: asym_vk(1, n, L, DPS), nu_seq(n)[n], row2,
+                HALF_ACTION, lambda m: Fraction(n - m)),
+    }
+    for name, (approx, exact, coeffs, action, step) in cases.items():
+        for L in range(7):
+            ratio = relative_error(approx(L), exact, DPS) \
+                / first_omitted(coeffs, action, L, step)
+            assert 0.5 < ratio < 2, (name, n, L, ratio)

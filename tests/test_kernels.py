@@ -9,7 +9,9 @@ product, reciprocal and square root, the O(n^3) ``vpm_series`` solve
 that rebuilds every convolution at every order, and the probe sequences
 built as one ``Fraction`` per table entry.  The library runs the same
 recursions on integers, or incrementally, and must reproduce them entry for
-entry, and its transforms bit for bit.
+entry, and its transforms bit for bit.  The library builds the rows k >= 2
+from nu and w; ``paper_row_ints``, the paper's row recursion on scaled
+integers, checks them further out than the QF3 references reach.
 """
 
 import sys
@@ -27,7 +29,7 @@ from crosscap import sequences, specgeom, transseries
 from crosscap.exactnum import QF3, round_sum, sqrt_fraction
 from crosscap.extrapolation import (_transform, convergence_rows,
                                     estimate_stokes, probe_richardson)
-from crosscap.sequences import Table, u_seq, v_seq
+from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import quadrangulation_counts, rp2_correlator_series
 from crosscap.transseries import mu_seq, nu_seq, vk_table, vpm_series
@@ -103,6 +105,53 @@ def ref_row(k, v, lower, n_max):
                 dbl = dbl + left[l] * right[n + 1 - l]
         row.append(scale * (acc + dbl * Fraction(1, 2)))
     return row
+
+
+def paper_row_ints(k, big, lower, n_max):
+    """Grow the integers W_{n,k} of row k in place through index n_max by
+    the paper's row recursion, which does not go through w.
+
+    With c_k = (k-1)!, the row runs on the integers
+
+        W_{n,k} = 40^n n! c_k^n 2^(k-1) sqrt3^(n+k-1) v_{n,k},
+
+    W_{0,k} = (-1)^(k-1); W_{n,1} is S_n.  For N = n+1, with the scaled
+    v-sequence R_l = ``lower[0][l]`` and W_{l,i} = ``lower[i][l]``, i < k,
+
+        -W_{N,k} = 25 (k-2)! N n (2 W_{n,k}
+                       + c_k sum_{l=2}^N 5^(l-2) c_k^(l-2) (n-1)!/(N-l)! R_l W_{N-l,k})
+                   + 1/(k-1) sum_{i=1}^{k-1} sum_{l=0}^N C(N,l)
+                       (c_k/c_i)^l (c_k/c_{k-i})^(N-l) W_{l,i} W_{N-l,k-i},
+
+    every coefficient an integer.  The terms i and k-i of the double sum
+    are equal, so each pair is taken once.
+    """
+    if not big:
+        big.append((-1) ** (k - 1))
+    if len(big) > n_max:
+        return
+    c_k = factorial(k - 1)
+    big_v = lower[0]
+    pairs = []
+    for i in range(1, k // 2 + 1):
+        a, b = c_k // factorial(i - 1), c_k // factorial(k - i - 1)
+        pairs.append((1 if 2 * i == k else 2,
+                      [a ** l * w for l, w in enumerate(lower[i][: n_max + 1])],
+                      [b ** l * w for l, w in enumerate(lower[k - i][: n_max + 1])]))
+    for n in range(len(big) - 1, n_max):
+        N = n + 1
+        acc = 0
+        for l in range(N, 1, -1):
+            acc = acc * (5 * (N - l) * c_k) + big_v[l] * big[N - l]
+        dbl = 0
+        for weight, xs, ys in pairs:
+            binom, conv = 1, 0
+            for l in range(N + 1):
+                conv += binom * xs[l] * ys[N - l]
+                binom = binom * (N - l) // (l + 1)
+            dbl += weight * conv
+        big.append(-(25 * factorial(k - 2) * N * n * (2 * big[n] + c_k * acc)
+                     + dbl // (k - 1)))
 
 
 def ref_mul(f, g):
@@ -246,6 +295,22 @@ def test_stepwise_build_matches_reference(name, steps):
         assert BUILDERS[name](top) == ref[: top + 1]
 
 
+def test_rows_match_paper_recursion():
+    # rows k >= 2 and the pair both come from w, and the factorization
+    # identity then holds whatever w is; the paper's row recursion, on
+    # integers in its own ((k-1)!)^n scale, is the independent side
+    # (ref_row stops at REF_N)
+    top, table = 200, vk_table(200, 4)
+    lower = [sequences.V.ints, transseries.NU.ints]
+    for k in range(2, 5):
+        big = []
+        paper_row_ints(k, big, lower, top)
+        lower.append(big)
+        assert [_from_scaled(x, 40 ** n * factorial(n) * factorial(k - 1) ** n
+                             << (k - 1), n + k - 1)
+                for n, x in enumerate(big)] == table.row(k), k
+
+
 # v_{n,k} is a rational times sqrt3 exactly when n+k is even; row 0 is v,
 # row 1 is nu, and mu alternates like nu.
 PARITY_K = {"v": 0, "nu": 1, "mu": 1, **{f"row{k}": k for k in range(2, MAX_ROW + 1)}}
@@ -378,8 +443,10 @@ def test_vpm_matches_reference():
     with fresh_caches():
         assert vpm_lists(VPM_N) == ref
         # a repeat at the same or a smaller order extends nothing
-        with patch.object(transseries, "_extend_vpm",
-                          side_effect=AssertionError("extended")):
+        with patch.object(transseries, "_extend_minus",
+                          side_effect=AssertionError("extended")), \
+                patch.object(transseries, "_extend_plus",
+                             side_effect=AssertionError("extended")):
             assert vpm_lists(VPM_N) == ref
             assert vpm_lists(7) == (ref[0][:8], ref[1][:8])
 
@@ -514,7 +581,7 @@ def test_probe_closed_forms():
     big_w2, big_w3 = transseries.ROWS[2].ints, transseries.ROWS[3].ints
     assert all(Fraction(big_w2[m], 6 * 50 ** m * factorial(m) * factorial(m - 1))
                == lead[m] for m in range(1, top + 1))
-    assert all(Fraction(big_w3[l], 12 * 100 ** l * factorial(l)) == lam_pow_3[l]
+    assert all(Fraction(big_w3[l], 12 * 50 ** l * factorial(l)) == lam_pow_3[l]
                for l in range(top + 1))
     # the order-N transform of x_m = m
     for order in range(31):
