@@ -23,6 +23,7 @@ from unittest.mock import patch
 
 from math import factorial
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscap import sequences, specgeom, transseries
@@ -31,7 +32,8 @@ from crosscap.extrapolation import (_transform, convergence_rows,
                                     estimate_stokes, probe_richardson)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
-from crosscap.specgeom import quadrangulation_counts, rp2_correlator_series
+from crosscap.specgeom import (SpectralCurveError, quadrangulation_counts,
+                               rp2_correlator_series)
 from crosscap.transseries import mu_seq, nu_seq, vk_table, vpm_series
 
 REF_N = 80
@@ -478,10 +480,26 @@ def test_quad_hit_computes_nothing():
     ref = quad_reference()
     with fresh_caches():
         assert quadrangulation_counts(QUAD_N) == ref
-        with patch.object(specgeom, "rp2_correlator_series",
+        with patch.object(specgeom.QUAD, "grow",
                           side_effect=AssertionError("recomputed")):
             assert quadrangulation_counts(QUAD_N) == ref
             assert quadrangulation_counts(7) == ref[:7]
+
+
+def test_quad_recurrence_matches_correlator_through_200():
+    corr = rp2_correlator_series(199)
+    with fresh_caches():
+        assert quadrangulation_counts(200) == \
+            [int(corr.coefficient(m) / Fraction(-4) ** m) for m in range(200)]
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_quad_corrupted_seed_fails_fast(m):
+    big = [5, 38, 331, 3098]
+    big[m] += 1
+    with pytest.raises(SpectralCurveError,
+                       match=r"^c_7 = .* is not a positive integer$"):
+        specgeom._extend_quad(big, 40)
 
 
 @settings(max_examples=20, deadline=None)
