@@ -1,10 +1,17 @@
 """Arbitrary-precision evaluation of the large-index expansions.
 
-The three evaluators share one pattern: the braces are accumulated exactly
-in Q(sqrt3) (coefficients times powers of the instanton action over exact
-falling products), the Gamma factors are exact factorials or half-integer
-closed forms, and the Stokes prefactors S/(2 pi i) fold in as a rational
-times sqrt30/pi or sqrt6/pi.  Each value is then rounded once
+The three evaluators share one pattern.  Each brace is one exact Horner sum
+over the tables' stored integers (``extrapolation._brace``): with
+M_l = 320^l l! sqrt3^l mu_l and W_{l,k} the integers of row k (S_l at k = 1),
+
+    sum mu_l A^l / prod_{m<=l} (2n-1/2-m)  =  sum M_l / prod 100 m (4n-1-2m),
+    (2 sqrt3)^(k-1) sum v_{l,k} (+-A/2)^l / prod_{m<=l} (n-m)
+                                           =  sum W_{l,k} / prod (+-50 m (n-m)).
+
+The Gamma factors are exact factorials or half-integer closed forms, with
+(A/2)^(-n) Gamma(n) = 5^n (n-1)! / (4^n sqrt3^n), and the Stokes prefactors
+S/(2 pi i) fold in as a rational times sqrt30/pi or sqrt6/pi.  So each value
+is one rational times a power of sqrt3, split by parity and rounded once
 (``exactnum.round_sum``); all values returned are real.
 """
 
@@ -16,24 +23,13 @@ from math import factorial
 import mpmath
 from mpmath.libmp import to_rational
 
+from . import transseries
 from .exactnum import DEFAULT_DPS, QF3, gamma_half_integer, round_sum
-from .transseries import mu_seq, nu_seq, vk_table
+from .extrapolation import _brace
+from .sequences import _from_scaled
 
 INSTANTON_ACTION = QF3(0, Fraction(8, 5))   # A = 8 sqrt3 / 5
 HALF_ACTION = QF3(0, Fraction(4, 5))        # A/2, the v-sector eigenvalue
-
-
-def _brace(coeffs: list[QF3], action_power: QF3, L: int,
-           denom_step) -> QF3:
-    """coeffs[0] + sum_{l=1}^{L} coeffs[l] action^l / prod_{m=1}^{l} denom_step(m)."""
-    acc = coeffs[0]
-    power = QF3(1)
-    prod = Fraction(1)
-    for l in range(1, L + 1):
-        power = power * action_power
-        prod *= denom_step(l)
-        acc = acc + coeffs[l] * power / prod
-    return acc
 
 
 def asym_u(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
@@ -49,17 +45,19 @@ def asym_u(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
         raise ValueError("n must be >= 1")
     if L < 0:
         raise ValueError("L must be >= 0")
-    mu = mu_seq(L)
-    brace = _brace(mu, INSTANTON_ACTION, L,
-                   lambda m: Fraction(4 * n - 1 - 2 * m, 2))
+    transseries.mu_seq(L)
+    brace = _brace(transseries.MU.ints, L,
+                   lambda m: 100 * m * (4 * n - 1 - 2 * m))
     g = gamma_half_integer(Fraction(4 * n - 1, 2)).coeff
-    return round_sum((brace * (Fraction(25, 192) ** n * g / 5)).parts(-1, -1, 30),
-                     dps)
+    exact = Fraction(25, 192) ** n * g / 5 * brace
+    return round_sum([((-1, -1, 30), exact.as_integer_ratio())], dps)
 
 
-def _times_sqrt6_over_pi(z: QF3, n: int, dps: int) -> mpmath.mpf:
-    """(A/2)^(-n) Gamma(n) z sqrt6/pi, rounded once."""
-    exact = HALF_ACTION ** (-n) * z * factorial(n - 1)
+def _times_sqrt6_over_pi(z: Fraction, k: int, n: int,
+                         dps: int) -> mpmath.mpf:
+    """(A/2)^(-n) Gamma(n) z / (2 (2 sqrt3)^k) sqrt6/pi, rounded once."""
+    exact = _from_scaled(5 ** n * factorial(n - 1) * z.numerator,
+                         z.denominator << (2 * n + k + 1), n + k)
     return round_sum(exact.parts(1, -1, 6), dps)
 
 
@@ -72,9 +70,9 @@ def asym_v(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
         raise ValueError("n must be >= 1")
     if L >= n:
         raise ValueError("L must be < n (the product prod(n-m) hits zero)")
-    nu = nu_seq(L)
-    brace = _brace(nu, HALF_ACTION, L, lambda m: Fraction(n - m))
-    return _times_sqrt6_over_pi(brace / 2, n, dps)
+    transseries.nu_seq(L)
+    brace = _brace(transseries.NU.ints, L, lambda m: 50 * m * (n - m))
+    return _times_sqrt6_over_pi(brace, 0, n, dps)
 
 
 def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
@@ -86,7 +84,9 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
 
     with lambda = A/2, S'/(2 pi i) = sqrt6/(2 pi) and S_-1/(2 pi i) =
     -sqrt6/(24 pi); the second term is absent for k <= 1 (rows below k = 0
-    are zero, and the k-1 factor kills k = 1).
+    are zero, and the k-1 factor kills k = 1).  In the braces' scale the two
+    braces F and B, of rows k+1 and k-1, combine as (k+1) F - (-1)^n (k-1) B
+    over 2 (2 sqrt3)^k.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -94,14 +94,13 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
         raise ValueError("n must be >= 1")
     if L >= n:
         raise ValueError("L must be < n (the product prod(n-m) hits zero)")
-    table = vk_table(L, k + 1)
-    fwd = _brace(table.row(k + 1), HALF_ACTION, L, lambda m: Fraction(n - m))
-    z = fwd * Fraction(k + 1, 2)
+    transseries.vk_table(L, k + 1)
+    rows = transseries.ROWS
+    z = (k + 1) * _brace(rows[k + 1].ints, L, lambda m: 50 * m * (n - m))
     if k >= 2:
-        back = _brace(table.row(k - 1), -HALF_ACTION, L,
-                      lambda m: Fraction(n - m))
-        z = z - back * Fraction((k - 1) * (-1) ** n, 24)
-    return _times_sqrt6_over_pi(z, n, dps)
+        z -= (-1) ** n * (k - 1) * _brace(rows[k - 1].ints, L,
+                                          lambda m: -50 * m * (n - m))
+    return _times_sqrt6_over_pi(z, k, n, dps)
 
 
 def relative_error(approx: mpmath.mpf, exact, dps: int = DEFAULT_DPS) -> mpmath.mpf:

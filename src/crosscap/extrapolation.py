@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 import mpmath
 from mpmath.libmp import to_rational
@@ -106,14 +106,12 @@ def _lead_step(m: int) -> int:
     return 50 * m * (m - 1)
 
 
-def _brace(big_w3: list[int], m: int) -> Fraction:
-    """B_m = sum_{l <= L} v_{l,3} lam^l / ((m-1) ... (m-l)), L = m//2,
-    lam = A/2, with v_{l,3} lam^l = W_{l,3} / (12 50^l l!): one Horner sum,
-    step 50 l (m-l), over 12 50^L L! (m-1) ... (m-L)."""
-    top = m // 2
-    num = _horner([1] * (top + 1), big_w3, 0, lambda l: 50 * l * (m - l))
-    return Fraction(num, 12 * 50 ** top * factorial(top)
-                    * factorial(m - 1) // factorial(m - top - 1))
+def _brace(big: list[int], top: int, step) -> Fraction:
+    """sum_{l <= top} big[l] / (step(1) ... step(l)) exactly: one Horner sum
+    over step(1) ... step(top).  Every expansion brace has this form on the
+    stored integers (``asymptotics``), and so has the S_-1 probe's B_m."""
+    return Fraction(_horner([1] * (top + 1), big, 0, step),
+                    prod(map(step, range(1, top + 1))))
 
 
 def _probe(which: str, top: int):
@@ -123,8 +121,10 @@ def _probe(which: str, top: int):
 
     By parity the probes are s_m = 2 pi sqrt3 q_m, r_m = sqrt2 pi m q_m - m
     and, behind S_-1, (-1)^m [2 pi sqrt3 L_m - 3 sqrt6 B_m], with
-    q_m = R_m / (10^m (m-1)!), L_m = W_{m,2} / (6 50^m m! (m-1)!) and the
-    brace B_m of ``_brace``.  The transform of m itself is (N+1)(2n+N)/2.
+    q_m = R_m / (10^m (m-1)!), L_m = W_{m,2} / (6 50^m m! (m-1)!) and
+    B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)), the
+    ``_brace`` of W_{l,3} with step 50 l (m-l), over 12.  The transform of
+    m itself is (N+1)(2n+N)/2.
     """
     if which in ("s", "r"):
         v_seq(top)
@@ -152,7 +152,8 @@ def _probe(which: str, top: int):
         lead = _horner(weights, big_w2, n, _lead_step)
         for m in range(n, last + 1):
             if m not in braces:
-                braces[m] = (-1) ** m * _brace(big_w3, m)
+                braces[m] = (-1) ** m * _brace(
+                    big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12
         return [((2, 1, 3), (lead, 6 * factorial(order) * 50 ** last
                              * factorial(last) * factorial(last - 1))),
                 ((-3, 0, 6), _transform(braces, order, n))]

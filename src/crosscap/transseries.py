@@ -210,9 +210,6 @@ def vk_table(n_max: int, k_max: int) -> VkTable:
                 ROWS.append(_row(len(ROWS)))
     # a row never outgrows the rows below it, so row k_max is the shortest
     if len(ROWS[k_max].values) <= n_max:
-        v_seq(n_max)
-        if k_max >= 1:
-            nu_seq(n_max)
         ROWS[k_max].upto(n_max)
     return VkTable([row.values[: n_max + 1] for row in ROWS[: k_max + 1]])
 

@@ -1,13 +1,15 @@
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscap import transseries
 from crosscap.asymptotics import (HALF_ACTION, INSTANTON_ACTION, asym_u,
                                   asym_v, asym_vk, relative_error)
-from crosscap.exactnum import QF3
+from crosscap.exactnum import QF3, SQRT3, gamma_half_integer, round_sum
+from crosscap.extrapolation import _brace
 from crosscap.sequences import u_seq, v_seq
 from crosscap.transseries import mu_seq, nu_seq, vk_table
 
@@ -177,3 +179,94 @@ def test_truncation_error_is_first_omitted_term(n):
             ratio = relative_error(approx(L), exact, DPS) \
                 / first_omitted(coeffs, action, L, step)
             assert 0.5 < ratio < 2, (name, n, L, ratio)
+
+
+# ---------------------------------------------------------------------------
+# QF3 references: the braces summed term by term in Q(sqrt3)
+# ---------------------------------------------------------------------------
+
+def ref_brace(coeffs, action_power, L, denom_step):
+    """coeffs[0] + sum_{l=1}^{L} coeffs[l] action^l / prod_{m=1}^{l} denom_step(m)."""
+    acc = coeffs[0]
+    power = QF3(1)
+    denom = Fraction(1)
+    for l in range(1, L + 1):
+        power = power * action_power
+        denom *= denom_step(l)
+        acc = acc + coeffs[l] * power / denom
+    return acc
+
+
+def ref_asym_u(n, L, dps):
+    brace = ref_brace(mu_seq(L), INSTANTON_ACTION, L,
+                      lambda m: Fraction(4 * n - 1 - 2 * m, 2))
+    g = gamma_half_integer(Fraction(4 * n - 1, 2)).coeff
+    return round_sum((brace * (Fraction(25, 192) ** n * g / 5)).parts(-1, -1, 30),
+                     dps)
+
+
+def ref_times_sqrt6_over_pi(z, n, dps):
+    exact = HALF_ACTION ** (-n) * z * factorial(n - 1)
+    return round_sum(exact.parts(1, -1, 6), dps)
+
+
+def ref_asym_v(n, L, dps):
+    brace = ref_brace(nu_seq(L), HALF_ACTION, L, lambda m: Fraction(n - m))
+    return ref_times_sqrt6_over_pi(brace / 2, n, dps)
+
+
+def ref_asym_vk(k, n, L, dps):
+    table = vk_table(L, k + 1)
+    fwd = ref_brace(table.row(k + 1), HALF_ACTION, L, lambda m: Fraction(n - m))
+    z = fwd * Fraction(k + 1, 2)
+    if k >= 2:
+        back = ref_brace(table.row(k - 1), -HALF_ACTION, L,
+                         lambda m: Fraction(n - m))
+        z = z - back * Fraction((k - 1) * (-1) ** n, 24)
+    return ref_times_sqrt6_over_pi(z, n, dps)
+
+
+GRID_N = (1, 2, 3, 7, 30, 61, 100, 201)
+GRID_L = (0, 1, 2, 5, 20, 60)
+
+
+@pytest.mark.parametrize("dps", (30, 60, 200))
+def test_evaluators_match_reference_bit_for_bit(dps):
+    for n in GRID_N:
+        for L in GRID_L:
+            assert asym_u(n, L, dps)._mpf_ == ref_asym_u(n, L, dps)._mpf_, (n, L)
+            if L < n:
+                assert asym_v(n, L, dps)._mpf_ == ref_asym_v(n, L, dps)._mpf_
+                for k in range(5):
+                    assert (asym_vk(k, n, L, dps)._mpf_
+                            == ref_asym_vk(k, n, L, dps)._mpf_), (k, n, L)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_row_brace_is_the_qf3_sum(k):
+    # (2 sqrt3)^(k-1) sum_{l<=L} v_{l,k} (+-A/2)^l / prod_{m<=l} (n-m) is
+    # the brace of row k's integers with step +-50 m (n-m), for every L
+    row = vk_table(60, k).row(k)
+    scale = (2 * SQRT3) ** (k - 1)
+    for sign in (1, -1):
+        for n in GRID_N:
+            acc, power, denom = QF3(0), QF3(1), Fraction(1)
+            for L in range(min(60, n - 1) + 1):
+                if L:
+                    power = power * (sign * HALF_ACTION)
+                    denom *= n - L
+                acc = acc + row[L] * power / denom
+                brace = _brace(transseries.ROWS[k].ints, L,
+                               lambda m: sign * 50 * m * (n - m))
+                assert scale * acc == brace, (sign, n, L)
+
+
+def test_sminus1_brace_is_the_qf3_sum():
+    # the S_-1 probe's B_m = sum_{l<=m/2} v_{l,3} (A/2)^l / ((m-1)...(m-l))
+    # is the k = 3 row brace at n = m, L = m//2, over 12
+    row3 = vk_table(60, 3).row(3)
+    for m in range(1, 121):
+        plain = ref_brace(row3, HALF_ACTION, m // 2, lambda l: Fraction(m - l))
+        brace = _brace(transseries.ROWS[3].ints, m // 2,
+                       lambda l: 50 * l * (m - l))
+        assert plain == brace / 12, m
