@@ -20,11 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-import mpmath
-from mpmath.libmp import to_rational
-
 from . import transseries
-from .exactnum import DEFAULT_DPS, QF3, gamma_half_integer, round_sum
+from .exactnum import DEFAULT_DPS, QF3, _mpf_ratio, gamma_half_integer, round_sum
 from .extrapolation import _brace
 from .sequences import _from_scaled
 
@@ -32,7 +29,7 @@ INSTANTON_ACTION = QF3(0, Fraction(8, 5))   # A = 8 sqrt3 / 5
 HALF_ACTION = QF3(0, Fraction(4, 5))        # A/2, the v-sector eigenvalue
 
 
-def asym_u(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def asym_u(n: int, L: int, dps: int = DEFAULT_DPS):
     """Expansion value for u_n at truncation order L:
 
     A^(-2n+1/2) Gamma(2n-1/2) (S/2pi i) {1 + sum mu_l A^l / prod (2n-1/2-m)},
@@ -54,14 +51,14 @@ def asym_u(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
 
 
 def _times_sqrt6_over_pi(z: Fraction, k: int, n: int,
-                         dps: int) -> mpmath.mpf:
+                         dps: int):
     """(A/2)^(-n) Gamma(n) z / (2 (2 sqrt3)^k) sqrt6/pi, rounded once."""
     exact = _from_scaled(5 ** n * factorial(n - 1) * z.numerator,
                          z.denominator << (2 * n + k + 1), n + k)
     return round_sum(exact.parts(1, -1, 6), dps)
 
 
-def asym_v(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def asym_v(n: int, L: int, dps: int = DEFAULT_DPS):
     """Expansion value for v_n at truncation order L:
 
     (A/2)^(-n) Gamma(n) (sqrt6/(2 pi)) {1 + sum nu_l (A/2)^l / prod (n-m)}.
@@ -75,7 +72,7 @@ def asym_v(n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     return _times_sqrt6_over_pi(brace, 0, n, dps)
 
 
-def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS):
     """Expansion value for v_{n,k} at truncation order L, both instanton
     directions:
 
@@ -103,7 +100,21 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS) -> mpmath.mpf:
     return _times_sqrt6_over_pi(z, k, n, dps)
 
 
-def relative_error(approx: mpmath.mpf, exact, dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    """|approx/exact - 1|, exact over approx's binary value, rounded once."""
-    ratio = QF3(Fraction(*to_rational(approx._mpf_))) / exact
-    return abs((ratio - 1).to_float(dps))
+def relative_error(approx, exact, dps: int = DEFAULT_DPS):
+    """|approx/exact - 1|, exact over approx's binary value P/Q, rounded once.
+
+    With exact = (alpha + beta sqrt3) / (a_den b_den), its parts a and b
+    over their denominators, and D = alpha^2 - 3 beta^2, the ratio is
+    P a_den b_den (alpha - beta sqrt3) / (Q D): two parts over integers.
+    """
+    exact = exact if isinstance(exact, QF3) else QF3(exact)
+    (a, a_den), (b, b_den) = (exact.a.as_integer_ratio(),
+                              exact.b.as_integer_ratio())
+    alpha, beta = a * b_den, b * a_den
+    norm = alpha * alpha - 3 * beta * beta
+    if not norm:
+        raise ZeroDivisionError("relative error against an exact 0")
+    p, q = _mpf_ratio(approx)
+    p, q = p * a_den * b_den, q * norm
+    return abs(round_sum([((1, 0, 1), (p * alpha - q, q)),
+                          ((1, 0, 3), (-p * beta, q))], dps))

@@ -22,8 +22,6 @@ import json
 import os
 import sys
 
-import mpmath
-
 from . import __version__
 from .exactnum import DEFAULT_DPS, SymbolicConstantError, rational_to_float
 from .sequences import intersection_number, p_of_g, t_of_g, u_seq, v_seq
@@ -50,6 +48,7 @@ def _int_at_least(low: int):
 
 
 def _nstr(x, dps: int) -> str:
+    import mpmath
     return mpmath.nstr(x, dps, strip_zeros=True)
 
 

@@ -12,10 +12,6 @@ import functools
 from fractions import Fraction
 from math import factorial, isqrt
 
-import mpmath
-from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
-                          mpf_pos, mpf_shift)
-
 DEFAULT_DPS = 200
 
 
@@ -41,51 +37,66 @@ def _as_fraction(x) -> Fraction:
 
 @functools.lru_cache(maxsize=64)
 def _constant(c: int, a, b: int, prec: int) -> tuple:
-    """c pi^a sqrt(b) as a raw mpf at prec bits; a is an integer or a
-    half-integer."""
+    """c pi^a sqrt(b) at prec bits as a signed (mantissa, exponent) pair; a
+    is an integer or a half-integer."""
+    import mpmath
     with mpmath.workprec(prec):
-        return (c * mpmath.pi ** (mpmath.mpf(int(2 * a)) / 2)
-                * mpmath.sqrt(b))._mpf_
+        sign, man, exp, _ = (c * mpmath.pi ** (mpmath.mpf(int(2 * a)) / 2)
+                             * mpmath.sqrt(b))._mpf_
+    return -man if sign else man, exp
 
 
-def _from_ratio(p: int, q: int, prec: int) -> tuple:
-    """p/q as a raw mpf rounded to prec bits.  The power of two in q goes
-    into the exponent, exactly, instead of through mpmath's normalization,
-    which strips it a byte at a time."""
-    twos = (q & -q).bit_length() - 1
-    return mpf_shift(from_rational(p, q >> twos, prec, "n"), -twos)
-
-
-def round_sum(parts, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+def round_sum(parts, dps: int = DEFAULT_DPS):
     """The sum of c pi^a sqrt(b) p/q over the ((c, a, b), (p, q)) ``parts``,
-    rounded once to dps digits, within 10^(1 - dps) relative.
+    rounded once to dps digits, within 10^(1 - dps) relative, as an
+    ``mpmath.mpf``.
 
     c, p, q are integers, a is an integer or a half-integer and b > 0.  The
     constants must be linearly independent over Q, so that the sum is zero
-    only when every p is.  The sum is formed 64 bits past dps, again wider
-    while its parts cancel more than 40 of them.  Works on raw mpf tuples:
-    mpmath's number objects cost more than the arithmetic here.
+    only when every p is.  Each part becomes one integer, its value floored
+    at a common binary exponent about wp bits below the largest part, wp
+    being 64 bits past dps, again wider while the parts cancel more than 40
+    of them; the integers are summed exactly and rounded once.  A part's
+    integer depends only on the value p/q, not on how it is written.
     """
+    import mpmath
     exact = [(const, p, q) for const, (p, q) in parts if p]
     if not exact:
-        return mpmath.mp.make_mpf(fzero)
-    prec, extra = dps_to_prec(dps), 64
+        return mpmath.mp.make_mpf(mpmath.libmp.fzero)
+    prec, extra = mpmath.libmp.dps_to_prec(dps), 64
     while True:
         wp = prec + extra
-        terms = [mpf_mul(_constant(*const, wp), _from_ratio(p, q, wp),
-                         wp, "n") for const, p, q in exact]
-        total = functools.reduce(lambda x, y: mpf_add(x, y, wp, "n"), terms)
-        # bits cancelled; a raw mpf (sign, man, exp, bc) is below 2^(exp + bc),
-        # and a zero total lost all wp (the exact sum of nonzero parts is not 0)
-        lost = (max(t[2] + t[3] for t in terms) - total[2] - total[3]
-                if total[1] else wp)
+        terms = [(*_constant(*const, wp), p, q) for const, p, q in exact]
+        # each part is below 2^(top + 1), and the largest at least 2^(top - 2)
+        top = max(man.bit_length() + exp + p.bit_length() - q.bit_length()
+                  for man, exp, p, q in terms)
+        low = top - wp - 4
+        total = sum((p * man << exp - low) // q if exp >= low
+                    else p * man // (q << low - exp)
+                    for man, exp, p, q in terms)
+        # bits cancelled; a zero total lost them all (the exact sum of
+        # nonzero parts is not 0)
+        lost = wp + 4 - total.bit_length()
         if lost <= extra - 24:
-            return mpmath.mp.make_mpf(mpf_pos(total, prec, "n"))
+            return mpmath.mp.make_mpf(
+                mpmath.libmp.from_man_exp(total, low, prec, "n"))
         extra = lost + 64
 
 
-def rational_to_float(q, dps: int = DEFAULT_DPS) -> mpmath.mpf:
-    """Round an exact rational once to ``dps`` decimal digits."""
+def _mpf_ratio(x) -> tuple:
+    """The exact value of an ``mpmath.mpf`` as integers (p, q), q a power of
+    two."""
+    sign, man, exp, bc = x._mpf_
+    if bc == -1:
+        raise ValueError(f"cannot convert {x} to a rational number")
+    if sign:
+        man = -man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def rational_to_float(q, dps: int = DEFAULT_DPS):
+    """Round an exact rational once to ``dps`` decimal digits, as an
+    ``mpmath.mpf``."""
     return round_sum([((1, 0, 1), _as_fraction(q).as_integer_ratio())], dps)
 
 
@@ -198,7 +209,7 @@ class QF3:
         return [((c, a, b), self.a.as_integer_ratio()),
                 ((c, a, 3 * b), self.b.as_integer_ratio())]
 
-    def to_float(self, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+    def to_float(self, dps: int = DEFAULT_DPS):
         return round_sum(self.parts(), dps)
 
     def as_dict(self) -> dict:
@@ -292,7 +303,7 @@ class SymConst:
         return hash((self.coeff, self.rad2, self.rad3, self.pi_half,
                      self.gamma_arg))
 
-    def to_float(self, dps: int = DEFAULT_DPS) -> mpmath.mpf:
+    def to_float(self, dps: int = DEFAULT_DPS):
         if self.gamma_arg is not None:
             raise SymbolicConstantError(
                 f"symbolic-only constant: Gamma({self.gamma_arg}) is not "

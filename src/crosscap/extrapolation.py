@@ -21,15 +21,11 @@ transforms user float data exactly as given (``_transform``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, prod
 
-import mpmath
-from mpmath.libmp import to_rational
-
 from . import sequences, transseries
-from .exactnum import DEFAULT_DPS, round_sum
+from .exactnum import DEFAULT_DPS, _mpf_ratio, round_sum
 from .sequences import v_seq
 from .transseries import vk_table
 
@@ -38,15 +34,51 @@ class PrecisionWarning(UserWarning):
     """Fewer than 30 digits of the input's precision survive the weights."""
 
 
-@dataclass(frozen=True)
-class FloatSeq:
+class _Record:
+    """Immutable record: fields set once, in ``__slots__`` order, equal and
+    hashed by value, shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FloatSeq(_Record):
     """Indexed run of equal-precision values: entry i holds index start + i."""
 
-    start: int
-    values: tuple
-    dps: int
+    __slots__ = ("start", "values", "dps")
 
-    def __getitem__(self, n: int) -> mpmath.mpf:
+    def __init__(self, start: int, values: tuple, dps: int) -> None:
+        super().__init__(start, values, dps)
+
+    def __getitem__(self, n: int):
         if n < self.start or n > self.last:
             raise IndexError(f"index {n} outside [{self.start}, {self.last}]")
         return self.values[n - self.start]
@@ -59,11 +91,11 @@ class FloatSeq:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class RichardsonResult:
-    order: int
-    index: int
-    value: mpmath.mpf
+class RichardsonResult(_Record):
+    __slots__ = ("order", "index", "value")
+
+    def __init__(self, order: int, index: int, value) -> None:
+        super().__init__(order, index, value)
 
 
 def _transform(x, order: int, n: int) -> tuple:
@@ -188,7 +220,7 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
         raise ValueError(
             f"transform at n={n} needs entries {n}..{n + order}, "
             f"sequence covers {seq.start}..{seq.last}")
-    exact = {m: Fraction(*to_rational(seq[m]._mpf_))
+    exact = {m: Fraction(*_mpf_ratio(seq[m]))
              for m in range(n, n + order + 1)}
     value = round_sum([((1, 0, 1), _transform(exact, order, n))], seq.dps)
     guard = seq.dps - len(str(sum(comb(order, k) * (n + k) ** order
@@ -200,8 +232,9 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
     return RichardsonResult(order, n, value)
 
 
-def matched_digits(value: mpmath.mpf, target: mpmath.mpf, dps: int) -> int:
+def matched_digits(value, target, dps: int) -> int:
     """Largest k with |value/target - 1| < 0.5 * 10^(1-k), capped at dps."""
+    import mpmath
     with mpmath.workdps(dps):
         rel = abs(mpmath.mpf(value) / mpmath.mpf(target) - 1)
         if rel == 0:
@@ -210,12 +243,12 @@ def matched_digits(value: mpmath.mpf, target: mpmath.mpf, dps: int) -> int:
     return max(0, min(k, dps))
 
 
-@dataclass(frozen=True)
-class StokesEstimate:
-    value: mpmath.mpf
-    target: mpmath.mpf
-    digits: int
-    transform: RichardsonResult
+class StokesEstimate(_Record):
+    __slots__ = ("value", "target", "digits", "transform")
+
+    def __init__(self, value, target, digits: int,
+                 transform: RichardsonResult) -> None:
+        super().__init__(value, target, digits, transform)
 
 
 def estimate_stokes(which: str, n_max: int = 250, order: int = 30,

@@ -1,9 +1,13 @@
+import ast
 import json
+import os
+import subprocess
 import sys
 
 import mpmath
 import pytest
 
+import crosscap
 from crosscap import cli
 from crosscap.cli import build_parser, run
 from crosscap.extrapolation import probe_richardson
@@ -290,3 +294,52 @@ def test_exact_values_past_the_int_string_limit(capsys):
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# modules that only the float commands may load
+FLOAT_ONLY = {"mpmath", "dataclasses", "inspect"}
+
+
+def fresh_run(*argvs) -> tuple:
+    """Run each argv through cli.run in one new interpreter: its stdout
+    lines, and the FLOAT_ONLY modules loaded before importing crosscap and
+    at the end."""
+    script = (
+        "import sys\n"
+        f"before = sorted(set(sys.modules) & {FLOAT_ONLY!r})\n"
+        "import crosscap, crosscap.cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert crosscap.cli.run(argv) == 0\n"
+        f"print(repr((before, sorted(set(sys.modules) & {FLOAT_ONLY!r}))))\n")
+    src = os.path.dirname(os.path.dirname(crosscap.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "CROSSCAP_PREC"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    return out[:-1], *ast.literal_eval(out[-1])
+
+
+def test_exact_commands_never_import_mpmath():
+    out, before, after = fresh_run(["seq", "v", "--n", "3"],
+                                   ["quad", "--n", "7"],
+                                   ["transseries", "--k", "3", "--n", "4"])
+    if before:
+        pytest.skip(f"loaded at interpreter start: {before}")
+    assert len(out) == 4 + 1 + 4
+    assert after == []
+
+
+SMINUS1_30_6 = [
+    "# precision: 200",
+    "estimate\t-0.20340595462492433184962939254311406653749712423401138024901"
+    "468926026678260883427149644039134181756388551969145630329680281220041525"
+    "577599083921499165536723378588431970819125067315369480416439284922831",
+    "matched 3 digits of -sqrt(6)/12"]
+
+
+def test_float_command_loads_mpmath_and_prints_the_same_bytes():
+    out, _, after = fresh_run(["stokes", "--which", "sminus1", "--n", "30",
+                               "--order", "6"])
+    assert out == SMINUS1_30_6
+    assert "mpmath" in after

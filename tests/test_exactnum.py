@@ -1,14 +1,16 @@
+import functools
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from mpmath.libmp import dps_to_prec, from_rational
+from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
+                          mpf_pos, mpf_shift)
 
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
-                               SymConst, _from_ratio, gamma_half_integer,
-                               rational_to_float)
+                               SymConst, gamma_half_integer, rational_to_float,
+                               round_sum)
 from crosscap.sequences import u_seq
 
 
@@ -31,6 +33,38 @@ def reference(x: QF3, dps: int) -> mpmath.mpf:
         norm = x.norm()
         return (mpmath.mpf(norm.numerator) / norm.denominator
                 / (a - b * mpmath.sqrt(3)))
+
+
+# The mpf-arithmetic rounding kernel that round_sum's integer sum replaced:
+# each part an mpf product at wp bits, the parts added at wp bits.
+
+@functools.lru_cache(maxsize=64)
+def mpf_constant(c, a, b, prec):
+    with mpmath.workprec(prec):
+        return (c * mpmath.pi ** (mpmath.mpf(int(2 * a)) / 2)
+                * mpmath.sqrt(b))._mpf_
+
+
+def from_ratio(p, q, prec):
+    twos = (q & -q).bit_length() - 1
+    return mpf_shift(from_rational(p, q >> twos, prec, "n"), -twos)
+
+
+def reference_round_sum(parts, dps):
+    exact = [(const, p, q) for const, (p, q) in parts if p]
+    if not exact:
+        return mpmath.mp.make_mpf(fzero)
+    prec, extra = dps_to_prec(dps), 64
+    while True:
+        wp = prec + extra
+        terms = [mpf_mul(mpf_constant(*const, wp), from_ratio(p, q, wp),
+                         wp, "n") for const, p, q in exact]
+        total = functools.reduce(lambda x, y: mpf_add(x, y, wp, "n"), terms)
+        lost = (max(t[2] + t[3] for t in terms) - total[2] - total[3]
+                if total[1] else wp)
+        if lost <= extra - 24:
+            return mpmath.mp.make_mpf(mpf_pos(total, prec, "n"))
+        extra = lost + 64
 
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -224,8 +258,40 @@ class TestFloatLayer:
 
     @settings(max_examples=60, deadline=None)
     @given(p=st.integers(-10 ** 200, 10 ** 200), odd=st.integers(0, 10 ** 200),
-           twos=st.integers(0, 3000), prec=st.integers(100, 900))
+           twos=st.integers(0, 3000), dps=st.integers(30, 270))
     def test_power_of_two_denominator_moves_to_the_exponent_exactly(
-            self, p, odd, twos, prec):
+            self, p, odd, twos, dps):
         q = (2 * odd + 1) << twos
-        assert _from_ratio(p, q, prec) == from_rational(p, q, prec, "n")
+        got = round_sum([((1, 0, 1), (p, q))], dps)._mpf_
+        assert got == from_rational(p, q, dps_to_prec(dps), "n")
+
+
+# c pi^a sqrt(b) as the library uses them; sqrt18 = 3 sqrt2, so b = 18 and
+# b = 2 at one a are the same constant over Q
+constants = st.tuples(st.sampled_from([1, 2, -1, -3]),
+                      st.sampled_from([-1, Fraction(-1, 2), 0, Fraction(1, 2), 1]),
+                      st.sampled_from([1, 2, 3, 6, 18, 30]))
+ratios = st.tuples(st.integers(-10 ** 600, 10 ** 600),
+                   st.builds(lambda odd, twos: (2 * odd + 1) << twos,
+                             st.integers(0, 10 ** 300), st.integers(0, 3000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(consts=st.lists(constants, min_size=1, max_size=3,
+                       unique_by=lambda c: (c[1], 2 if c[2] == 18 else c[2])),
+       ratios=st.lists(ratios, min_size=3, max_size=3),
+       cancel=st.one_of(st.none(), st.tuples(st.integers(1, 10 ** 20),
+                                             st.integers(0, 2000))),
+       dps=st.integers(30, 400))
+@example(consts=[(1, 0, 1)], ratios=[(1, 1 << 3000)] * 3, cancel=(1, 2000),
+         dps=30)
+def test_round_sum_matches_the_mpf_kernel(consts, ratios, cancel, dps):
+    parts = list(zip(consts, ratios))
+    if cancel is not None:
+        # the first part again, negated and nudged by tiny / (q 2^shift)
+        tiny, shift = cancel
+        const, (p, q) = parts[0]
+        assume(p)
+        parts.append((const, ((-p << shift) + tiny, q << shift)))
+    got = round_sum(parts, dps)
+    assert got._mpf_ == reference_round_sum(parts, dps)._mpf_

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscap.exactnum import rational_to_float
-from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _transform,
+from crosscap.extrapolation import (FloatSeq, PrecisionWarning,
+                                    RichardsonResult, StokesEstimate, _transform,
                                     estimate_stokes, matched_digits,
                                     probe_richardson, r_seq, richardson, s_seq,
                                     convergence_rows)
@@ -221,3 +224,42 @@ class TestInputValidation:
     def test_rejects_n_below_one_or_negative_order(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+TRANSFORM = RichardsonResult(2, 5, mpmath.mpf("0.5"))
+RECORDS = [
+    (FloatSeq, {"start": 1, "values": (mpmath.mpf(1), mpmath.mpf(2)), "dps": 30},
+     "FloatSeq(start=1, values=(mpf('1.0'), mpf('2.0')), dps=30)"),
+    (RichardsonResult, {"order": 2, "index": 5, "value": mpmath.mpf("0.5")},
+     "RichardsonResult(order=2, index=5, value=mpf('0.5'))"),
+    (StokesEstimate, {"value": mpmath.mpf("0.5"), "target": mpmath.mpf(1),
+                      "digits": 0, "transform": TRANSFORM},
+     "StokesEstimate(value=mpf('0.5'), target=mpf('1.0'), digits=0, "
+     "transform=RichardsonResult(order=2, index=5, value=mpf('0.5')))"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, text", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_result_types_are_frozen_records(cls, fields, text):
+    record = cls(*fields.values())
+    assert record == cls(**fields)
+    assert hash(record) == hash(cls(**fields))
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    first = next(iter(fields))
+    assert record != cls(**dict(fields, **{first: 7}))
+    assert record != tuple(fields.values())
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 7
+    with pytest.raises(TypeError):
+        cls(*fields.values(), 7)
+    with pytest.raises(TypeError):
+        cls(**dict(fields, extra=7))
