@@ -51,13 +51,17 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
     rounded once to dps digits, within 10^(1 - dps) relative, as an
     ``mpmath.mpf``.
 
-    c, p, q are integers, a is an integer or a half-integer and b > 0.  The
-    constants must be linearly independent over Q, so that the sum is zero
-    only when every p is.  Each part becomes one integer, its value floored
-    at a common binary exponent about wp bits below the largest part, wp
-    being 64 bits past dps, again wider while the parts cancel more than 40
-    of them; the integers are summed exactly and rounded once.  A part's
-    integer depends only on the value p/q, not on how it is written.
+    c, p, q are integers, a is an integer or a half-integer and b > 0.  Each
+    part becomes one integer, its value floored at a common binary exponent
+    about wp bits below the largest part, wp being 64 bits past dps, again
+    wider while the parts cancel more than 40 of them; the integers are
+    summed exactly and rounded once.  A part's integer depends only on the
+    value p/q, not on how it is written.
+
+    Constants with the same a and the same squarefree part of b are
+    linearly dependent over Q, and their parts can sum to exactly 0, which
+    no precision resolves: the first widening checks for that exactly and
+    raises ``ValueError``.
     """
     import mpmath
     exact = [(const, p, q) for const, (p, q) in parts if p]
@@ -80,7 +84,23 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
         if lost <= extra - 24:
             return mpmath.mp.make_mpf(
                 mpmath.libmp.from_man_exp(total, low, prec, "n"))
+        if extra == 64 and _sums_to_zero(exact):
+            raise ValueError("the parts' constants are linearly dependent "
+                             "over Q and the parts sum to exactly 0")
         extra = lost + 64
+
+
+def _sums_to_zero(exact) -> bool:
+    """Whether the (c pi^a sqrt(b), p, q) terms sum to exactly 0: each term
+    is collected on the first constant pi^a sqrt(b0) with b b0 a square,
+    as c p sqrt(b b0) / (q b0), and the groups are independent over Q."""
+    groups: dict = {}
+    for (c, a, b), p, q in exact:
+        b0 = next((b0 for a0, b0 in groups
+                   if a0 == a and isqrt(b * b0) ** 2 == b * b0), b)
+        groups[a, b0] = (groups.get((a, b0), 0)
+                         + Fraction(c * p * isqrt(b * b0), q * b0))
+    return not any(groups.values())
 
 
 def _mpf_ratio(x) -> tuple:

@@ -26,7 +26,7 @@ from math import comb, factorial, lcm, prod
 
 from . import sequences, transseries
 from .exactnum import DEFAULT_DPS, _mpf_ratio, round_sum
-from .sequences import v_seq
+from .sequences import Table, v_seq
 from .transseries import vk_table
 
 
@@ -161,10 +161,19 @@ def _probe(which: str, top: int):
     if which in ("s", "r"):
         v_seq(top)
         big_v = sequences.V.ints
+        # the last window's end m and its d_m = 10^m (m-1)!, so that a pass
+        # over consecutive n takes one step per call
+        end, d_end = -1, 0
 
         def parts(order: int, n: int) -> list:
+            nonlocal end, d_end
             weights, last = _weights(order, n), n + order
-            den = factorial(order) * 10 ** last * factorial(last - 1)
+            if last == end + 1:
+                d_end *= _q_step(last)
+            elif last != end:
+                d_end = 10 ** last * factorial(last - 1)
+            end = last
+            den = factorial(order) * d_end
             if which == "s":
                 return [((2, 1, 3), (_horner(weights, big_v, n, _q_step), den))]
             weights = [w * m for m, w in enumerate(weights, n)]
@@ -190,6 +199,27 @@ def _probe(which: str, top: int):
                              * factorial(last) * factorial(last - 1))),
                 ((-3, 0, 6), _transform(braces, order, n))]
     return parts
+
+
+# The rounded transforms behind convergence_rows, one Table per (probe,
+# order, dps); see _rows.
+_TRANSFORM_ROWS: dict = {}
+
+
+def _rows(which: str, order: int, dps: int) -> Table:
+    """The order-``order`` transforms of the probe ``which`` at dps digits,
+    cached: entry i is the transform at n = i + 1.  ``needs`` fills the
+    exact tables that ``grow`` reads, so ``grow`` finds them built and takes
+    no lock."""
+    table = _TRANSFORM_ROWS.get((which, order, dps))
+    if table is None:
+        def grow(rows: list, n: int) -> None:
+            parts = _probe(which, n + 1 + order)
+            rows.extend(round_sum(parts(order, m), dps)
+                        for m in range(len(rows) + 1, n + 2))
+        table = _TRANSFORM_ROWS.setdefault((which, order, dps), Table(
+            grow, lambda x, m: x, lambda n: _probe(which, n + 1 + order)))
+    return table
 
 
 def s_seq(n_max: int, dps: int = DEFAULT_DPS) -> FloatSeq:
@@ -270,9 +300,14 @@ def estimate_stokes(which: str, n_max: int = 250, order: int = 30,
 
 def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
                      dps: int = DEFAULT_DPS) -> list[tuple]:
-    """(n, transform values per order) rows behind the convergence plots."""
+    """(n, transform values per order) rows behind the convergence plots,
+    n = 1..n_max.  Each value is rounded once per process: the rows are
+    cached per (probe, order, dps) in ``_TRANSFORM_ROWS``."""
+    if which not in ("s", "r", "sminus1"):
+        raise ValueError(f"unknown probe {which!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    parts = _probe(which, n_max + max(orders))
-    return [(n, *(round_sum(parts(N, n), dps) for N in orders))
-            for n in range(1, n_max + 1)]
+    if min(orders) < 0:
+        raise ValueError(f"a transform needs order >= 0: {orders}")
+    columns = [_rows(which, N, dps).upto(n_max - 1) for N in orders]
+    return list(zip(range(1, n_max + 1), *columns))

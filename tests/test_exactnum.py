@@ -1,5 +1,6 @@
 import functools
 import random
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -295,3 +296,23 @@ def test_round_sum_matches_the_mpf_kernel(consts, ratios, cancel, dps):
         parts.append((const, ((-p << shift) + tiny, q << shift)))
     got = round_sum(parts, dps)
     assert got._mpf_ == reference_round_sum(parts, dps)._mpf_
+
+
+def test_round_sum_rejects_dependent_parts_that_sum_to_zero():
+    # 3 sqrt2 - sqrt18 = 0: no precision resolves it, so it must not widen
+    # forever; the same constants with a nonzero sum still round
+    outcome = []
+
+    def run():
+        try:
+            round_sum([((1, 0, 2), (3, 1)), ((1, 0, 18), (-1, 1))], 30)
+        except ValueError:
+            outcome.append("ValueError")
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and outcome == ["ValueError"]
+    got = round_sum([((1, 0, 2), (3, 1)), ((1, 0, 18), (-1, 1)),
+                     ((1, 0, 1), (1, 10 ** 300))], 30)
+    assert got._mpf_ == from_rational(1, 10 ** 300, dps_to_prec(30), "n")

@@ -26,9 +26,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap import sequences, specgeom, transseries
+from crosscap import extrapolation, sequences, specgeom, transseries
 from crosscap.exactnum import QF3, round_sum, sqrt_fraction
-from crosscap.extrapolation import (_transform, convergence_rows,
+from crosscap.extrapolation import (_probe, _transform, convergence_rows,
                                     estimate_stokes, probe_richardson)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
@@ -255,7 +255,7 @@ BUILDERS = {
 @contextmanager
 def fresh_caches():
     """Empty stand-ins for every table in the crosscap modules, and rows
-    k >= 2 dropped, for one block."""
+    k >= 2 and the cached transform rows dropped, for one block."""
     tables = {id(x): x for name, module in list(sys.modules.items())
               if name.startswith("crosscap.")
               for x in vars(module).values() if isinstance(x, Table)}
@@ -265,6 +265,8 @@ def fresh_caches():
             stack.enter_context(patch.object(table, "values", []))
         stack.enter_context(patch.object(
             transseries, "ROWS", [sequences.V, transseries.NU]))
+        stack.enter_context(patch.dict(extrapolation._TRANSFORM_ROWS,
+                                       clear=True))
         yield
 
 
@@ -335,7 +337,8 @@ def test_concurrent_builds_match_serial():
     def work(n):
         return v_seq(n + 20), nu_seq(n + 10), \
             [vk_table(n, 3).row(k) for k in range(4)], vpm_lists(n // 4 + 5), \
-            quadrangulation_counts(n // 2 + 10)
+            quadrangulation_counts(n // 2 + 10), \
+            convergence_rows("s", n // 2, (0, 5), 40)
 
     with fresh_caches():
         serial = [work(n) for n in sizes]
@@ -370,7 +373,8 @@ def test_concurrent_builds_match_serial():
 def test_cache_hit_takes_no_lock():
     hits = (lambda: u_seq(30), lambda: v_seq(30), lambda: mu_seq(30),
             lambda: nu_seq(30), lambda: vk_table(30, 3),
-            lambda: vpm_series(30), lambda: quadrangulation_counts(30))
+            lambda: vpm_series(30), lambda: quadrangulation_counts(30),
+            lambda: convergence_rows("sminus1", 30, (0, 1), 40))
     for hit in hits:
         hit()
     with sequences._EXTEND_LOCK:
@@ -606,3 +610,63 @@ def test_probe_closed_forms():
         for n in range(1, top + 1, 3):
             assert Fraction(*_transform(range(n + order + 1), order, n)) \
                 == Fraction((order + 1) * (2 * n + order), 2), (order, n)
+
+
+# ---------------------------------------------------------------------------
+# cached transform rows
+# ---------------------------------------------------------------------------
+
+ROW_CALLS = [("s", 40, (0, 1, 5), 60), ("r", 25, (1, 5), 30),
+             ("s", 12, (5, 10), 60), ("sminus1", 30, (0, 2), 200),
+             ("s", 70, (1, 10), 60), ("r", 60, (0, 1, 5), 30),
+             ("sminus1", 9, (2, 3), 200), ("s", 33, (0, 5), 200),
+             ("r", 8, (5,), 30), ("sminus1", 45, (0, 1, 3), 200),
+             ("s", 70, (0, 1, 5, 10), 60), ("r", 61, (1,), 30)]
+
+
+def test_transform_rows_match_direct_rounding():
+    # interleaved calls, n_max growing and shrinking, overlapping orders:
+    # every value is the direct rounding of its own transform
+    direct = {}
+    with fresh_caches():
+        for which, n_max, orders, dps in ROW_CALLS:
+            rows = convergence_rows(which, n_max, orders, dps)
+            assert [row[0] for row in rows] == list(range(1, n_max + 1))
+            for n, *values in rows:
+                for order, value in zip(orders, values):
+                    key = which, order, n, dps
+                    if key not in direct:
+                        direct[key] = round_sum(
+                            _probe(which, n + order)(order, n), dps)._mpf_
+                    assert value._mpf_ == direct[key], key
+
+
+def test_transform_row_hit_rounds_nothing():
+    with fresh_caches():
+        rows = convergence_rows("s", 40, (0, 1, 5), 60)
+        with patch.object(extrapolation, "round_sum",
+                          side_effect=AssertionError("rounded again")):
+            assert convergence_rows("s", 40, (0, 1, 5), 60) == rows
+            assert convergence_rows("s", 25, (5, 0), 60) == \
+                [(n, s5, s0) for n, s0, _, s5 in rows[:25]]
+
+
+def test_growing_rows_rounds_only_the_new_values():
+    with fresh_caches():
+        convergence_rows("r", 40, (0, 1, 5), 60)
+        with patch.object(extrapolation, "round_sum",
+                          wraps=round_sum) as counted:
+            convergence_rows("r", 60, (0, 1, 5), 60)
+        assert counted.call_count == 20 * 3
+
+
+@pytest.mark.parametrize("args", [("s", 0, (0, 1), 40),
+                                  ("r", 30, (0, -1), 40),
+                                  ("sprime", 30, (0,), 40)])
+def test_bad_rows_request_creates_no_table(args):
+    with fresh_caches():
+        convergence_rows("s", 10, (0,), 40)
+        before = dict(extrapolation._TRANSFORM_ROWS)
+        with pytest.raises(ValueError):
+            convergence_rows(*args)
+        assert extrapolation._TRANSFORM_ROWS == before
