@@ -24,10 +24,10 @@ import sys
 
 from . import __version__
 from .exactnum import DEFAULT_DPS, SymbolicConstantError, rational_to_float
-from .sequences import intersection_number, p_of_g, t_of_g, u_seq, v_seq
+from .sequences import Table, intersection_number, p_of_g, t_of_g, u_seq, v_seq
 from .transseries import mu_seq, nu_seq, vk_table, vpm_series
 from .asymptotics import asym_u, asym_v, asym_vk, relative_error
-from .extrapolation import convergence_rows, estimate_stokes, probe_richardson
+from .extrapolation import _rows, estimate_stokes, probe_richardson
 from .specgeom import quadrangulation_counts
 
 MIN_DPS = 30
@@ -274,16 +274,32 @@ def _cmd_intersect(args, dps: int) -> None:
           [str(value)], params={"g": args.g})
 
 
+# The rendered plot text, one Table per (probe, order, dps); see _plot_text.
+_PLOT_TEXT: dict = {}
+
+
+def _plot_text(which: str, order: int, dps: int) -> Table:
+    """The ``plotdata`` strings of the cached transform rows
+    ``extrapolation._rows(which, order, dps)``, rendered once per process.
+    ``needs`` fills the rows, so ``grow``, which runs under the lock, only
+    copies them."""
+    table = _PLOT_TEXT.get((which, order, dps))
+    if table is None:
+        rows = _rows(which, order, dps)
+        table = _PLOT_TEXT.setdefault((which, order, dps), Table(
+            lambda xs, n: xs.extend(rows.values[len(xs):n + 1]),
+            lambda x, m: _nstr(x, dps), rows.upto))
+    return table
+
+
 def _cmd_plotdata(args, dps: int) -> None:
     which = "s" if args.name == "unorquot" else "r"
     orders = (0, 1, 5)
-    rows = convergence_rows(which, args.nmax, orders, dps)
+    columns = [_plot_text(which, N, dps).upto(args.nmax - 1) for N in orders]
     header = ["n"] + [f"{which}{N}[dps={dps}]" for N in orders]
-    out_rows = [(n, *(_nstr(x, dps) for x in vals))
-                for (n, *vals) in rows]
-    values = [[r[0], *r[1:]] for r in out_rows]
-    lines = ["\t".join(str(c) for c in row) for row in out_rows]
-    _emit(args, values, out_rows, header, lines, precision=dps,
+    rows = list(zip(range(1, args.nmax + 1), *columns))
+    lines = ["\t".join(str(c) for c in row) for row in rows]
+    _emit(args, rows, rows, header, lines, precision=dps,
           params={"name": args.name, "nmax": args.nmax})
 
 

@@ -146,6 +146,36 @@ def _brace(big: list[int], top: int, step) -> Fraction:
                     prod(map(step, range(1, top + 1))))
 
 
+def _window_den(step, closed):
+    """d_last as a function of a window's last index, for denominators with
+    d_m = step(m) d_{m-1} and closed form ``closed(m)``: a pass over
+    consecutive windows takes one step per call."""
+    end, d_end = -1, 0
+
+    def den(last: int) -> int:
+        nonlocal end, d_end
+        if last == end + 1:
+            d_end *= step(last)
+        elif last != end:
+            d_end = closed(last)
+        end = last
+        return d_end
+    return den
+
+
+def _extend_braces(braces: list, n: int) -> None:
+    """Grow the signed S_-1 braces (-1)^m B_m in place through m = n: the
+    ``_brace`` of W_{l,3} through l = m//2 with step 50 l (m-l), over 12."""
+    big_w3 = transseries.ROWS[3].ints
+    for m in range(len(braces), n + 1):
+        braces.append((-1) ** m * _brace(
+            big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12)
+
+
+# Shared by every S_-1 window, so each B_m is built once per process.
+_BRACES = Table(_extend_braces, lambda x, m: x, lambda n: vk_table(n // 2, 3))
+
+
 def _probe(which: str, top: int):
     """The probe ``which`` through index top, as a function (order, n) ->
     the ``round_sum`` parts of its order-``order`` transform at n, which
@@ -155,48 +185,35 @@ def _probe(which: str, top: int):
     and, behind S_-1, (-1)^m [2 pi sqrt3 L_m - 3 sqrt6 B_m], with
     q_m = R_m / (10^m (m-1)!), L_m = W_{m,2} / (6 50^m m! (m-1)!) and
     B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)), the
-    ``_brace`` of W_{l,3} with step 50 l (m-l), over 12.  The transform of
-    m itself is (N+1)(2n+N)/2.
+    ``_brace`` of W_{l,3} with step 50 l (m-l), over 12 (``_BRACES``).
+    The transform of m itself is (N+1)(2n+N)/2.
     """
     if which in ("s", "r"):
         v_seq(top)
         big_v = sequences.V.ints
-        # the last window's end m and its d_m = 10^m (m-1)!, so that a pass
-        # over consecutive n takes one step per call
-        end, d_end = -1, 0
+        den = _window_den(_q_step, lambda m: 10 ** m * factorial(m - 1))
 
         def parts(order: int, n: int) -> list:
-            nonlocal end, d_end
-            weights, last = _weights(order, n), n + order
-            if last == end + 1:
-                d_end *= _q_step(last)
-            elif last != end:
-                d_end = 10 ** last * factorial(last - 1)
-            end = last
-            den = factorial(order) * d_end
+            weights = _weights(order, n)
+            d = factorial(order) * den(n + order)
             if which == "s":
-                return [((2, 1, 3), (_horner(weights, big_v, n, _q_step), den))]
+                return [((2, 1, 3), (_horner(weights, big_v, n, _q_step), d))]
             weights = [w * m for m, w in enumerate(weights, n)]
-            return [((1, 1, 2), (_horner(weights, big_v, n, _q_step), den)),
+            return [((1, 1, 2), (_horner(weights, big_v, n, _q_step), d)),
                     ((-1, 0, 1), ((order + 1) * (2 * n + order), 2))]
         return parts
     if which != "sminus1":
         raise ValueError(f"unknown probe {which!r}")
     vk_table(top, 2)
-    vk_table(top // 2, 3)  # the braces read row 3 through top//2 only
-    big_w2, big_w3 = transseries.ROWS[2].ints, transseries.ROWS[3].ints
-    braces: dict = {}
+    braces = _BRACES.upto(top)
+    big_w2 = transseries.ROWS[2].ints
+    den = _window_den(_lead_step, lambda m: 6 * 50 ** m * factorial(m)
+                      * factorial(m - 1))
 
     def parts(order: int, n: int) -> list:
-        weights, last = _weights(order, n), n + order
-        weights = [(-1) ** m * w for m, w in enumerate(weights, n)]
+        weights = [(-1) ** m * w for m, w in enumerate(_weights(order, n), n)]
         lead = _horner(weights, big_w2, n, _lead_step)
-        for m in range(n, last + 1):
-            if m not in braces:
-                braces[m] = (-1) ** m * _brace(
-                    big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12
-        return [((2, 1, 3), (lead, 6 * factorial(order) * 50 ** last
-                             * factorial(last) * factorial(last - 1))),
+        return [((2, 1, 3), (lead, factorial(order) * den(n + order))),
                 ((-3, 0, 6), _transform(braces, order, n))]
     return parts
 

@@ -1,7 +1,7 @@
 """The scaled-integer recursions, the integer series arithmetic and the
 integer Richardson probes against Fraction/QF3 references, path
-independence of the cached tables, the parity invariant, and concurrent
-cache builds.
+independence of the cached tables, the parity invariant, concurrent cache
+builds, and the cached ``plotdata`` text against a direct rendering.
 
 The reference functions below are the recursions written directly over
 ``Fraction``/``QF3``: the table recursions, the per-term ``Series``
@@ -14,6 +14,12 @@ from nu and w; ``paper_row_ints``, the paper's row recursion on scaled
 integers, checks them further out than the QF3 references reach.
 """
 
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
 import sys
 import threading
 from contextlib import ExitStack, contextmanager
@@ -23,13 +29,15 @@ from unittest.mock import patch
 
 from math import factorial
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap import extrapolation, sequences, specgeom, transseries
+from crosscap import cli, extrapolation, sequences, specgeom, transseries
 from crosscap.exactnum import QF3, round_sum, sqrt_fraction
-from crosscap.extrapolation import (_probe, _transform, convergence_rows,
-                                    estimate_stokes, probe_richardson)
+from crosscap.extrapolation import (_brace, _probe, _transform,
+                                    convergence_rows, estimate_stokes,
+                                    probe_richardson)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, quadrangulation_counts,
@@ -255,7 +263,8 @@ BUILDERS = {
 @contextmanager
 def fresh_caches():
     """Empty stand-ins for every table in the crosscap modules, and rows
-    k >= 2 and the cached transform rows dropped, for one block."""
+    k >= 2, the cached transform rows and the plot text dropped, for one
+    block."""
     tables = {id(x): x for name, module in list(sys.modules.items())
               if name.startswith("crosscap.")
               for x in vars(module).values() if isinstance(x, Table)}
@@ -267,6 +276,7 @@ def fresh_caches():
             transseries, "ROWS", [sequences.V, transseries.NU]))
         stack.enter_context(patch.dict(extrapolation._TRANSFORM_ROWS,
                                        clear=True))
+        stack.enter_context(patch.dict(cli._PLOT_TEXT, clear=True))
         yield
 
 
@@ -338,7 +348,8 @@ def test_concurrent_builds_match_serial():
         return v_seq(n + 20), nu_seq(n + 10), \
             [vk_table(n, 3).row(k) for k in range(4)], vpm_lists(n // 4 + 5), \
             quadrangulation_counts(n // 2 + 10), \
-            convergence_rows("s", n // 2, (0, 5), 40)
+            convergence_rows("s", n // 2, (0, 5), 40), \
+            cli._plot_text("r", 5, 40).upto(n // 3)
 
     with fresh_caches():
         serial = [work(n) for n in sizes]
@@ -374,7 +385,9 @@ def test_cache_hit_takes_no_lock():
     hits = (lambda: u_seq(30), lambda: v_seq(30), lambda: mu_seq(30),
             lambda: nu_seq(30), lambda: vk_table(30, 3),
             lambda: vpm_series(30), lambda: quadrangulation_counts(30),
-            lambda: convergence_rows("sminus1", 30, (0, 1), 40))
+            lambda: convergence_rows("sminus1", 30, (0, 1), 40),
+            lambda: cli.run(["plotdata", "unorquot", "--nmax", "30",
+                             "--prec", "40", "--output", os.devnull]))
     for hit in hits:
         hit()
     with sequences._EXTEND_LOCK:
@@ -670,3 +683,140 @@ def test_bad_rows_request_creates_no_table(args):
         with pytest.raises(ValueError):
             convergence_rows(*args)
         assert extrapolation._TRANSFORM_ROWS == before
+
+
+# ---------------------------------------------------------------------------
+# the shared S_-1 braces
+# ---------------------------------------------------------------------------
+
+def test_braces_are_the_row3_brace():
+    # grown in steps by an estimate, rows and the table itself
+    with fresh_caches():
+        estimate_stokes("sminus1", 30, 6, 40)
+        convergence_rows("sminus1", 100, (0, 5), 40)
+        braces = extrapolation._BRACES.upto(260)
+        big_w3 = transseries.ROWS[3].ints
+        assert len(braces) == 261
+        for m, brace in enumerate(braces):
+            assert brace == (-1) ** m * _brace(
+                big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12, m
+
+
+def test_second_sminus1_estimate_builds_no_brace():
+    with fresh_caches():
+        first = estimate_stokes("sminus1", 60, 8, 60)
+        with patch.object(extrapolation, "_brace",
+                          side_effect=AssertionError("brace rebuilt")):
+            assert estimate_stokes("sminus1", 60, 8, 60) == first
+            estimate_stokes("sminus1", 50, 10, 60)
+            convergence_rows("sminus1", 60, (0, 1, 5), 60)
+
+
+# SHA-256 prefix of the sminus1 rows and estimates below, as computed when
+# each window built its own braces
+SMINUS1_SIZES = ((9, (2, 3), 3, 200), (45, (0, 1, 3), 6, 200),
+                 (120, (0, 1, 5), 10, 100), (250, (0, 1, 5), 30, 200))
+SMINUS1_DIGEST = "5709cc9c3837a974"
+
+
+def test_sminus1_values_unchanged():
+    digest = hashlib.sha256()
+    with fresh_caches():
+        for n_max, orders, order, dps in SMINUS1_SIZES:
+            for n, *values in convergence_rows("sminus1", n_max, orders, dps):
+                digest.update(repr((n, [x._mpf_ for x in values])).encode())
+            est = estimate_stokes("sminus1", n_max, order, dps)
+            digest.update(repr((est.value._mpf_, est.digits)).encode())
+    assert digest.hexdigest()[:16] == SMINUS1_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# cached plot text
+# ---------------------------------------------------------------------------
+
+def plot_request(name, nmax, dps, fmt="csv"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["plotdata", name, "--nmax", str(nmax), "--prec",
+                        str(dps), "--format", fmt]) == 0
+    return out.getvalue()
+
+
+def plot_reference(name, nmax, dps, fmt):
+    """The bytes of a plotdata request, rendered directly from
+    ``convergence_rows``."""
+    which = "s" if name == "unorquot" else "r"
+    rows = [(n, *(mpmath.nstr(x, dps, strip_zeros=True) for x in values))
+            for n, *values in convergence_rows(which, nmax, (0, 1, 5), dps)]
+    if fmt == "json":
+        return json.dumps({"command": "plotdata",
+                           "params": {"name": name, "nmax": nmax},
+                           "precision": dps,
+                           "values": [list(row) for row in rows]}) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC,
+                            lineterminator="\n")
+        writer.writerow(["n"] + [f"{which}{N}[dps={dps}]" for N in (0, 1, 5)])
+        writer.writerows(rows)
+        return buf.getvalue()
+    return "\n".join([f"# precision: {dps}"]
+                     + ["\t".join(map(str, row)) for row in rows]) + "\n"
+
+
+PLOT_CALLS = [("unorquot", 40, 60), ("firstcorr", 25, 30),
+              ("unorquot", 12, 60), ("firstcorr", 70, 200),
+              ("unorquot", 70, 60), ("firstcorr", 60, 30),
+              ("unorquot", 9, 200), ("firstcorr", 33, 200),
+              ("unorquot", 61, 30), ("firstcorr", 8, 60),
+              ("unorquot", 70, 200), ("firstcorr", 71, 30)]
+
+
+def test_plotdata_text_matches_direct_rendering():
+    # interleaved requests, nmax growing and shrinking, every format
+    with fresh_caches():
+        for name, nmax, dps in PLOT_CALLS:
+            for fmt in ("table", "json", "csv"):
+                assert plot_request(name, nmax, dps, fmt) == \
+                    plot_reference(name, nmax, dps, fmt), (name, nmax, dps, fmt)
+
+
+def test_plotdata_hit_renders_nothing():
+    with fresh_caches():
+        first = plot_request("unorquot", 40, 60)
+        with patch.object(cli, "_nstr", wraps=cli._nstr) as counted:
+            assert plot_request("unorquot", 40, 60) == first
+            assert plot_request("unorquot", 25, 60, "json") == \
+                plot_reference("unorquot", 25, 60, "json")
+        assert counted.call_count == 0
+
+
+def test_growing_plotdata_renders_only_the_new_values():
+    with fresh_caches():
+        plot_request("firstcorr", 40, 60)
+        with patch.object(cli, "_nstr", wraps=cli._nstr) as counted:
+            plot_request("firstcorr", 60, 60)
+        assert counted.call_count == 3 * 20
+
+
+@pytest.mark.parametrize("argv", [["--nmax", "0"],
+                                  ["--nmax", "5", "--prec", "10"]])
+def test_rejected_plotdata_creates_no_text_table(argv, capsys):
+    with fresh_caches():
+        plot_request("unorquot", 10, 40)
+        before = dict(cli._PLOT_TEXT)
+        assert cli.run(["plotdata", "firstcorr", *argv]) == 2
+        assert cli._PLOT_TEXT == before
+
+
+def test_first_plotdata_from_empty_caches_finishes():
+    # the text table grows under the lock, so the rows and the exact tables
+    # it reads must be filled before, or the first request hangs
+    out = []
+    with fresh_caches():
+        t = threading.Thread(target=lambda: out.append(
+            plot_request("firstcorr", 30, 40)), daemon=True)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert out == [plot_reference("firstcorr", 30, 40, "csv")]
