@@ -407,14 +407,3 @@ def gamma_half_integer(q) -> SymConst:
     m = abs(q.numerator) // 2 + (q < 0)  # q = 1/2 + m or 1/2 - m
     ratio = Fraction(factorial(2 * m), 4 ** m * factorial(m))
     return SymConst(ratio if q > 0 else (-1) ** m / ratio, pi_half=1)
-
-
-def sqrt_fraction(q) -> "Fraction | None":
-    """Exact square root of a rational, or None if it is not a square."""
-    q = _as_fraction(q)
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None

@@ -6,10 +6,10 @@ exponents in ``[low, order]`` and tracks the truncation order
 pessimistically: addition keeps ``min`` of the known orders, and the product
 of f and g is known through ``min(f.order + g.low, g.order + f.low)``.
 
-Products, reciprocals and square roots run on integers: a coefficient list
-is scaled to integer numerators over one common denominator (a QF3 list to
-two, its rational and its sqrt3 parts), the recursion sums integer
-products, and each output coefficient becomes a Fraction or QF3 once.
+Products run on integers: a coefficient list is scaled to integer
+numerators over one common denominator (a QF3 list to two, its rational and
+its sqrt3 parts), the convolution sums integer products, and each output
+coefficient becomes a Fraction or QF3 once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .exactnum import QF3, sqrt_fraction
+from .exactnum import QF3
 
 
 class SeriesError(ValueError):
@@ -26,12 +26,6 @@ class SeriesError(ValueError):
 
 def _is_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, QF3))
-
-
-def _field_inverse(x):
-    if isinstance(x, QF3):
-        return x.inverse()
-    return 1 / Fraction(x)
 
 
 def _over_qf3(*series) -> bool:
@@ -59,12 +53,12 @@ def _convolve(xs: list[int], ys: list[int], n: int) -> list[int]:
     return [sum(map(int.__mul__, xs[:e + 1], ys[e::-1])) for e in range(n)]
 
 
-def _unscale(re: list[int], im: list[int] | None, dens) -> list:
-    """Coefficients re[i] / dens[i], or (re[i] + im[i] sqrt3) / dens[i]
-    when ``im`` is given; one Fraction or QF3 per coefficient."""
+def _unscale(re: list[int], im: list[int] | None, den: int) -> list:
+    """Coefficients re[i] / den, or (re[i] + im[i] sqrt3) / den when ``im``
+    is given; one Fraction or QF3 per coefficient."""
     if im is None:
-        return [Fraction(x, d) for x, d in zip(re, dens)]
-    return [QF3(Fraction(x, d), Fraction(y, d)) for x, y, d in zip(re, im, dens)]
+        return [Fraction(x, den) for x in re]
+    return [QF3(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)]
 
 
 class Series:
@@ -168,95 +162,10 @@ class Series:
         if qf3:
             re = [x + 3 * y for x, y in zip(re, _convolve(b, e, n))]
             im = [x + y for x, y in zip(_convolve(a, e, n), _convolve(b, c, n))]
-        return Series(_unscale(re, im, [d * d2] * n),
+        return Series(_unscale(re, im, d * d2),
                       self.low + other.low, self.zero)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Series":
-        """Reciprocal series, known to as many terms as ``self``.
-
-        With f = F/D (F integers, D their common denominator) the
-        coefficients are g_m = G_m D / F_0^(m+1), with G_0 = 1 and
-
-            G_m = -sum_{i=1}^m F_i F_0^(i-1) G_{m-i}.
-
-        Over Q(sqrt3), 1/f = conj(f) / (f conj(f)), conj(f) the series of
-        conjugate coefficients and f conj(f) a rational series.
-        """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of a zero series")
-        if _over_qf3(self):
-            conj = Series([QF3._coerce(c).conjugate() for c in self.coeffs],
-                          self.low, self.zero)
-            norm = self * conj
-            return conj * Series([c.a for c in norm.coeffs], norm.low).inverse()
-        f, _, d = _scale(self.coeffs, False)
-        lead, power = f[0], 1
-        weighted = [0]                   # F_i F_0^(i-1), i >= 1
-        for x in f[1:]:
-            weighted.append(x * power)
-            power *= lead
-        big = [1]
-        for m in range(1, len(f)):
-            big.append(-sum(map(int.__mul__, weighted[1:m + 1], big[::-1])))
-        return Series(_unscale([d * g for g in big], None,
-                               (lead ** (m + 1) for m in range(len(f)))),
-                      -self.low, self.zero)
-
-    def __truediv__(self, other):
-        if _is_scalar(other):
-            return self * _field_inverse(other)
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def sqrt(self) -> "Series":
-        """Square root, branch with positive leading coefficient.
-
-        Requires an even leading exponent and a leading coefficient that is
-        the square of a rational r.  With the coefficients scaled to
-        integers F_m over one denominator, write f = r^2 (1 + H/E), E = F_0
-        and H_m = F_m (m >= 1); then s_0 = r and
-
-            s_m = r S_m / (2^(2m-1) E^m),
-            S_m = H_m (4E)^(m-1) - sum_{i=1}^{m-1} S_i S_{m-i},
-
-        over Q(sqrt3) with the products taken in Z[sqrt3].
-        """
-        if self.is_zero():
-            raise SeriesError("sqrt of a zero-to-order series")
-        if self.low % 2:
-            raise SeriesError("sqrt needs an even leading exponent")
-        lead = self.coeffs[0]
-        if isinstance(lead, QF3):
-            root = sqrt_fraction(lead.a) if lead.b == 0 else None
-        else:
-            root = sqrt_fraction(lead)
-        if not root:
-            raise SeriesError("leading coefficient is not a rational square")
-        qf3 = _over_qf3(self)
-        h, k, _ = _scale(self.coeffs, qf3)
-        e = h[0]
-        xs, ys = [0], [0]                # S_m and, over Q(sqrt3), its sqrt3 part
-        power = 1                        # (4E)^(m-1)
-        for m in range(1, len(h)):
-            head, tail = xs[1:m], xs[m - 1:0:-1]
-            xs.append(h[m] * power - sum(map(int.__mul__, head, tail)))
-            if qf3:
-                yt = ys[m - 1:0:-1]
-                xs[m] -= 3 * sum(map(int.__mul__, ys[1:m], yt))
-                ys.append(k[m] * power - 2 * sum(map(int.__mul__, head, yt)))
-            power *= 4 * e
-        xs[0] = 1
-        dens = [1] + [e ** m << (2 * m - 1) for m in range(1, len(h))]
-        out = _unscale([root.numerator * x for x in xs],
-                       [root.numerator * y for y in ys] if qf3 else None,
-                       (root.denominator * d for d in dens))
-        return Series(out, self.low // 2, self.zero)
 
     def __eq__(self, other) -> bool:
         """Coefficient equality over the common known exponent range."""

@@ -19,8 +19,16 @@ The counts are computed from the linear recurrence, c[m] = c_{m+1},
 
 for n >= 4, from c[0..3] = 5, 38, 331, 3098.  ``_extend_quad``'s docstring
 holds its certificate: the algebraic equation of the correlator and the
-differential equation the recurrence is read from.  The series above stay
-as the derivation and as the tests' reference.
+differential equation the recurrence is read from.
+
+The public series are built from closed forms, with C_n the Catalan number:
+
+    alpha^2(lam) = sum (-12)^n C_n lam^n
+    x0^2(lam)    = -1/(4 lam) - 2 alpha^2(lam)
+    residue      = sum c_{m+1} (-4 lam)^m     (t = 1)
+
+The derivation above, with its square roots and reciprocal, lives in the
+tests, as the independent reference for these forms and the recurrence.
 """
 
 from __future__ import annotations
@@ -36,42 +44,29 @@ class SpectralCurveError(ValueError):
 
 
 def alpha2_series(order: int) -> Series:
-    """Squared endpoint alpha^2 as a power series in lam, constant term 1."""
+    """Squared endpoint alpha^2 as a power series in lam, constant term 1:
+    the coefficient of lam^n is (-12)^n C_n, C_n the Catalan number."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    disc = Series.from_terms({0: Fraction(1), 1: Fraction(48)}, order + 1)
-    num = disc.sqrt() - 1          # vanishing constant term, exactly
-    return (num * Fraction(1, 24)).shift(-1).truncate(order)
+    terms = [1]
+    for n in range(order):      # C_{n+1} = 2(2n+1) C_n / (n+2)
+        terms.append(-24 * (2 * n + 1) * terms[n] // (n + 2))
+    return Series([Fraction(t) for t in terms])
 
 
 def x02_series(order: int) -> Series:
-    """Squared saddle location x0^2, a Laurent series with principal part -1/(4 lam)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    alpha2 = alpha2_series(order + 1)
-    num = alpha2.shift(1) * 8 + 1
-    return (num * Fraction(-1, 4)).shift(-1).truncate(order)
+    """Squared saddle location x0^2 = -1/(4 lam) - 2 alpha^2, a Laurent
+    series with principal part -1/(4 lam)."""
+    alpha2 = alpha2_series(order)
+    return Series([Fraction(-1, 4)] + [-2 * c for c in alpha2.coeffs], -1)
 
 
 def rp2_correlator_series(order: int) -> Series:
-    """The quadrangulation generating series; exactly regular at lam = 0."""
+    """The quadrangulation generating series sum c_{m+1} (-4 lam)^m."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    work = order + 4
-    alpha2 = alpha2_series(work)
-    x02 = x02_series(work)
-    lam_alpha2 = alpha2.shift(1)
-    # 4 alpha^2 / x0^2 = -16 lam alpha^2 / (1 + 8 lam alpha^2), regular
-    ratio = (lam_alpha2 * (-16)) / (lam_alpha2 * 8 + 1)
-    root = (1 - ratio).sqrt()      # branch with constant term +1
-    corr = x02 * x02 - alpha2 * alpha2 - x02 * (x02 + alpha2 * 2) * root
-    if corr.low < 0:
-        bad = corr.coefficients(corr.low, -1)
-        raise SpectralCurveError(
-            f"nonzero principal part {bad} at exponent {corr.low}")
-    if corr.order < order:
-        raise SpectralCurveError("internal truncation fell short")
-    return corr.truncate(order)
+    counts = quadrangulation_counts(order + 1)
+    return Series([Fraction(c * (-4) ** m) for m, c in enumerate(counts)])
 
 
 def _extend_quad(big: list[int], top: int) -> None:

@@ -1,5 +1,6 @@
 import crosscap
-from crosscap import asymptotics, exactnum, transseries
+from crosscap import asymptotics, exactnum, series, transseries
+from crosscap.series import Series
 
 REMOVED = {
     crosscap: ("AsymParams", "const_pi", "const_sqrt2", "const_sqrt3",
@@ -7,7 +8,9 @@ REMOVED = {
     asymptotics: ("AsymParams", "gamma_exact_half"),
     transseries: ("TransseriesError",),
     exactnum: ("const_pi", "const_sqrt2", "const_sqrt3", "const_sqrt6",
-               "RationalLike"),
+               "RationalLike", "sqrt_fraction"),
+    series: ("_field_inverse",),
+    Series: ("inverse", "sqrt", "__truediv__", "__rtruediv__"),
 }
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
                                quadrangulation_counts, rp2_correlator_series,
                                x02_series)
@@ -16,11 +15,11 @@ class TestAlpha2:
         assert a2.coefficient(1) == -12
 
     def test_defining_identity(self):
-        order = 12
+        # 24 lam alpha^2 + 1 = sqrt(1 + 48 lam), squared and over 48 lam
+        order = 200
         a2 = alpha2_series(order)
-        disc = Series.from_terms({0: Fraction(1), 1: Fraction(48)}, order + 1)
-        residue = a2.shift(1) * 24 + 1 - disc.sqrt()
-        assert residue.is_zero() or all(c == 0 for c in residue.coeffs)
+        residue = (a2 * a2).shift(1) * 12 + a2 - 1
+        assert residue.is_zero() and residue.order == order
 
 
 class TestX02:
@@ -72,3 +71,30 @@ class TestQuadrangulationCounts:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             quadrangulation_counts(0)
+
+    def test_certificate_equation_through_z199(self):
+        # P(z, C) = 0 from _extend_quad's docstring, C = sum c[m] z^m;
+        # P's coefficients are listed as {power of C: {power of z: coeff}}
+        n = 200
+        c = quadrangulation_counts(n)
+        powers = [[1] + [0] * (n - 1), c]
+        for _ in range(3):
+            last = powers[-1]
+            powers.append([sum(last[i] * c[e - i] for i in range(e + 1))
+                           for e in range(n)])
+        poly = {4: {6: 3}, 3: {5: 12, 4: -6}, 2: {4: 18, 3: 24, 2: 1},
+                1: {3: 12, 2: 66, 1: 8, 0: -2}, 0: {2: 3, 1: 36, 0: 10}}
+        total = [0] * n
+        for k, row in poly.items():
+            for j, a in row.items():
+                for e in range(j, n):
+                    total[e] += a * powers[k][e - j]
+        assert total == [0] * n
+
+
+@pytest.mark.parametrize("build", [alpha2_series, x02_series,
+                                   rp2_correlator_series])
+@pytest.mark.parametrize("order", [0, -3])
+def test_series_reject_order_below_one(build, order):
+    with pytest.raises(ValueError):
+        build(order)
