@@ -15,9 +15,7 @@ variable CROSSCAP_PREC overrides the default working precision (200).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -128,22 +126,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, values, rows, header, lines, precision=None, params=None):
-    fmt = getattr(args, "format", "table")
+def _csv_text(header, rows) -> str:
+    """The bytes ``csv.writer(QUOTE_NONNUMERIC, lineterminator="\\n")``
+    writes: an int field bare, any other quoted, each double quote doubled."""
+    return "".join([
+        ",".join([str(x) if isinstance(x, int)
+                  else '"' + str(x).replace('"', '""') + '"' for x in row])
+        + "\n" for row in (header, *rows)])
+
+
+def _tab_lines(rows) -> list[str]:
+    return ["\t".join(map(str, row)) for row in rows]
+
+
+def _emit(args, header, rows, values=None, lines=None, precision=None,
+          params=None):
+    """Write one response in ``args.format``, building only that format.
+
+    ``rows`` are the CSV rows below ``header``; ``lines`` the table lines,
+    by default the rows joined by tabs; ``values`` the JSON values, by
+    default the rows.  ``rows`` and ``lines`` may be lazy: only the format
+    written consumes them.
+    """
+    fmt = args.format
     if fmt == "json":
         doc = {"command": args.command, "params": params or {},
-               "precision": precision, "values": values}
+               "precision": precision,
+               "values": list(rows) if values is None else values}
         text = json.dumps(doc, ensure_ascii=False) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = _csv_text(header, rows)
     else:
+        text = "\n".join(_tab_lines(rows) if lines is None else lines) + "\n"
         if precision is not None:
-            lines = [f"# precision: {precision}"] + lines
-        text = "\n".join(lines) + "\n"
+            text = f"# precision: {precision}\n" + text
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -154,18 +170,12 @@ def _emit(args, values, rows, header, lines, precision=None, params=None):
 def _cmd_seq(args, dps: int) -> None:
     name, n = args.name, args.n
     fdps = args.float_dps
-    if name == "u":
-        pairs = list(enumerate(u_seq(n)))
-    elif name == "v":
-        pairs = list(enumerate(v_seq(n)))
-    elif name == "mu":
-        pairs = list(enumerate(mu_seq(n)))
-    elif name == "nu":
-        pairs = list(enumerate(nu_seq(n)))
-    elif name == "t":
-        pairs = [(g, t_of_g(g)) for g in range(n + 1)]
+    if name == "t":
+        xs = [t_of_g(g) for g in range(n + 1)]
+    elif name == "p":
+        xs = [p_of_g(twog) for twog in range(1, n + 1)]
     else:
-        pairs = [(twog, p_of_g(twog)) for twog in range(1, n + 1)]
+        xs = {"u": u_seq, "v": v_seq, "mu": mu_seq, "nu": nu_seq}[name](n)
 
     def flt(x) -> str:
         try:
@@ -174,27 +184,27 @@ def _cmd_seq(args, dps: int) -> None:
         except SymbolicConstantError:
             return ""
 
-    values = [str(x) for _, x in pairs]
+    index = range(1, n + 1) if name == "p" else range(n + 1)
+    exact = [str(x) for x in xs]
     params = {"name": name, "n": n}
     if fdps:
-        rows = [(i, str(x), flt(x)) for i, x in pairs]
-        header = ["index", "exact", f"float[dps={fdps}]"]
-        lines = [f"{i}\t{s}\t{f}" for (i, s, f) in rows]
-        _emit(args, {"exact": values, "floats": [r[2] for r in rows]},
-              rows, header, lines, precision=fdps, params=params)
+        floats = [flt(x) for x in xs]
+        _emit(args, ["index", "exact", f"float[dps={fdps}]"],
+              zip(index, exact, floats), {"exact": exact, "floats": floats},
+              precision=fdps, params=params)
     else:
-        rows = [(i, str(x)) for i, x in pairs]
-        _emit(args, values, rows, ["index", "exact"],
-              [f"{i}\t{s}" for (i, s) in rows], params=params)
+        _emit(args, ["index", "exact"], zip(index, exact), exact,
+              params=params)
 
 
 def _cmd_transseries(args, dps: int) -> None:
     table = vk_table(args.n, args.k)
-    rows = [(k, n, str(table.value(n, k)))
-            for k in range(args.k + 1) for n in range(args.n + 1)]
     values = [[str(x) for x in table.row(k)] for k in range(args.k + 1)]
-    lines = [f"k={k}\t" + "\t".join(row) for k, row in enumerate(values)]
-    _emit(args, values, rows, ["k", "n", "exact"], lines,
+    _emit(args, ["k", "n", "exact"],
+          ((k, n, s) for k, row in enumerate(values)
+           for n, s in enumerate(row)),
+          values,
+          (f"k={k}\t" + "\t".join(row) for k, row in enumerate(values)),
           params={"k": args.k, "n": args.n})
 
 
@@ -202,12 +212,13 @@ def _cmd_vpm(args, dps: int) -> None:
     plus, minus = vpm_series(args.order)
     p_coeffs = [str(plus.coefficient(e)) for e in range(args.order + 1)]
     m_coeffs = [str(minus.coefficient(e)) for e in range(args.order + 1)]
-    rows = [("plus", e, c) for e, c in enumerate(p_coeffs)]
-    rows += [("minus", e, c) for e, c in enumerate(m_coeffs)]
-    lines = ["v_plus:\t" + "\t".join(p_coeffs),
-             "v_minus:\t" + "\t".join(m_coeffs)]
-    _emit(args, {"plus": p_coeffs, "minus": m_coeffs}, rows,
-          ["series", "exponent", "exact"], lines,
+    _emit(args, ["series", "exponent", "exact"],
+          ((name, e, c) for name, coeffs in (("plus", p_coeffs),
+                                              ("minus", m_coeffs))
+           for e, c in enumerate(coeffs)),
+          {"plus": p_coeffs, "minus": m_coeffs},
+          ("v_plus:\t" + "\t".join(p_coeffs),
+           "v_minus:\t" + "\t".join(m_coeffs)),
           params={"order": args.order})
 
 
@@ -224,10 +235,10 @@ def _cmd_asym(args, dps: int) -> None:
         exact = vk_table(n, args.k).value(n, args.k)
     err = relative_error(approx, exact, dps)
     row = (n, L, str(exact), _nstr(approx, dps), _nstr(err, 10))
-    lines = [f"exact\t{row[2]}", f"asym\t{row[3]}", f"rel_error\t{row[4]}"]
-    _emit(args, {"exact": row[2], "asym": row[3], "rel_error": row[4]},
-          [row],
-          ["n", "trunc", "exact", f"asym[dps={dps}]", "rel_error"], lines,
+    keys = ("exact", "asym", "rel_error")
+    _emit(args, ["n", "trunc", "exact", f"asym[dps={dps}]", "rel_error"],
+          [row], dict(zip(keys, row[2:])),
+          (f"{key}\t{text}" for key, text in zip(keys, row[2:])),
           precision=dps,
           params={"name": args.name, "n": n, "trunc": L, "k": args.k})
 
@@ -235,8 +246,8 @@ def _cmd_asym(args, dps: int) -> None:
 def _cmd_richardson(args, dps: int) -> None:
     result = probe_richardson(args.target, args.order, args.n, dps)
     text = _nstr(result.value, dps)
-    _emit(args, [text], [(args.n, args.order, text)],
-          ["n", "order", f"value[dps={dps}]"], [text], precision=dps,
+    _emit(args, ["n", "order", f"value[dps={dps}]"],
+          [(args.n, args.order, text)], [text], [text], precision=dps,
           params={"target": args.target, "n": args.n, "order": args.order})
 
 
@@ -246,32 +257,28 @@ def _cmd_stokes(args, dps: int) -> None:
     est = estimate_stokes(args.which, n, order, dps)
     target_name = "sqrt(6)" if args.which == "sprime" else "-sqrt(6)/12"
     value = _nstr(est.value, dps)
-    lines = [f"estimate\t{value}",
-             f"matched {est.digits} digits of {target_name}"]
-    _emit(args, {"estimate": value, "matched_digits": est.digits,
-                 "target": target_name},
-          [(args.which, n, order, value, est.digits)],
+    _emit(args,
           ["which", "n", "order", f"estimate[dps={dps}]", "matched_digits"],
-          lines,
+          [(args.which, n, order, value, est.digits)],
+          {"estimate": value, "matched_digits": est.digits,
+           "target": target_name},
+          (f"estimate\t{value}",
+           f"matched {est.digits} digits of {target_name}"),
           precision=dps,
           params={"which": args.which, "n": n, "order": order})
 
 
 def _cmd_quad(args, dps: int) -> None:
     counts = quadrangulation_counts(args.n)
-    rows = list(enumerate(counts, start=1))
-    if args.plain:
-        lines = [str(c) for c in counts]
-    else:
-        lines = [" ".join(str(c) for c in counts)]
-    _emit(args, counts, rows, ["n", "count"], lines,
+    lines = map(str, counts) if args.plain else [" ".join(map(str, counts))]
+    _emit(args, ["n", "count"], enumerate(counts, start=1), counts, lines,
           params={"n": args.n})
 
 
 def _cmd_intersect(args, dps: int) -> None:
-    value = intersection_number(args.g)
-    _emit(args, [str(value)], [(args.g, str(value))], ["g", "exact"],
-          [str(value)], params={"g": args.g})
+    text = str(intersection_number(args.g))
+    _emit(args, ["g", "exact"], [(args.g, text)], [text], [text],
+          params={"g": args.g})
 
 
 # The rendered plot text, one Table per (probe, order, dps); see _plot_text.
@@ -296,10 +303,8 @@ def _cmd_plotdata(args, dps: int) -> None:
     which = "s" if args.name == "unorquot" else "r"
     orders = (0, 1, 5)
     columns = [_plot_text(which, N, dps).upto(args.nmax - 1) for N in orders]
-    header = ["n"] + [f"{which}{N}[dps={dps}]" for N in orders]
-    rows = list(zip(range(1, args.nmax + 1), *columns))
-    lines = ["\t".join(str(c) for c in row) for row in rows]
-    _emit(args, rows, rows, header, lines, precision=dps,
+    _emit(args, ["n"] + [f"{which}{N}[dps={dps}]" for N in orders],
+          zip(range(1, args.nmax + 1), *columns), precision=dps,
           params={"name": args.name, "nmax": args.nmax})
 
 

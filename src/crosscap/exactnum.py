@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, isqrt, prod
 
 DEFAULT_DPS = 200
 
@@ -258,10 +258,11 @@ class SymConst:
     """Canonical constant coeff * sqrt2^rad2 * sqrt3^rad3 * pi^(pi_half/2) / Gamma(gamma_arg).
 
     The constructor normalizes: arbitrary integer radical exponents are
-    reduced to {0, 1}, and the Gamma argument is moved into (-1, 1] by the
-    functional equation, with integer and half-integer Gammas absorbed into
-    ``coeff`` and ``pi_half``.  Equality is field-by-field on the canonical
-    form.
+    reduced to {0, 1}, and the Gamma argument a/d is moved into (-1, 1] by
+    the functional equation, m unit steps taken at once as one exact
+    product over the progression a - m d, ..., a - d (or a, ..., a + (m-1) d
+    going up), with integer and half-integer Gammas absorbed into ``coeff``
+    and ``pi_half``.  Equality is field-by-field on the canonical form.
     """
 
     __slots__ = ("coeff", "rad2", "rad3", "pi_half", "gamma_arg")
@@ -274,12 +275,16 @@ class SymConst:
         if gamma_arg is not None:
             if gamma_arg.denominator == 1 and gamma_arg <= 0:
                 raise GammaPoleError(f"Gamma({gamma_arg}) is a pole")
-            while gamma_arg > 1:
-                coeff /= gamma_arg - 1
-                gamma_arg -= 1
-            while gamma_arg <= -1:
-                coeff *= gamma_arg
-                gamma_arg += 1
+            a, d = gamma_arg.numerator, gamma_arg.denominator
+            # m unit steps at once: Gamma(x) = Gamma(x - m) (x - 1)...(x - m)
+            if gamma_arg > 1:
+                m = (a - 1) // d
+                coeff *= Fraction(d ** m, prod(range(a - m * d, a, d)))
+                gamma_arg = Fraction(a - m * d, d)
+            elif gamma_arg <= -1:
+                m = -a // d
+                coeff *= Fraction(prod(range(a, a + m * d, d)), d ** m)
+                gamma_arg = Fraction(a + m * d, d)
             if gamma_arg == 1:
                 gamma_arg = None
             elif gamma_arg == Fraction(1, 2):

@@ -280,14 +280,23 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
 
 
 def matched_digits(value, target, dps: int) -> int:
-    """Largest k with |value/target - 1| < 0.5 * 10^(1-k), capped at dps."""
+    """Largest k with |value/target - 1| <= 0.5 * 10^(1-k), capped at dps.
+
+    k = 1 - c for the least integer c with 2 rel <= 10^c, rel the dyadic
+    |value/target - 1| at dps digits, found by exact integer comparison.
+    """
     import mpmath
     with mpmath.workdps(dps):
         rel = abs(mpmath.mpf(value) / mpmath.mpf(target) - 1)
-        if rel == 0:
-            return dps
-        k = int(mpmath.floor(1 - mpmath.log10(2 * rel)))
-    return max(0, min(k, dps))
+    if rel == 0:
+        return dps
+    man, e = rel.man_exp
+    num, den = man << max(e + 1, 0), 1 << max(-e - 1, 0)  # 2 rel = num/den
+    # start below the least c: 2 rel >= 2^(bits + e), less 2 for rounding
+    c = int((man.bit_length() + e) * 0.30102999566398120) - 2
+    while num * 10 ** max(-c, 0) > den * 10 ** max(c, 0):
+        c += 1
+    return max(0, min(1 - c, dps))
 
 
 class StokesEstimate(_Record):

@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crosscap
 from crosscap import cli
@@ -128,6 +131,49 @@ def test_plotdata_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == '"n","s0[dps=60]","s1[dps=60]","s5[dps=60]"'
     assert len(lines) == 9
+
+
+CSV_TEXT = st.lists(st.sampled_from(
+    ['"', ",", "\n", "\r", "√", "Γ(1/4)", "Γ(-3/4)", "-2", "1/24", " "]),
+    max_size=6).map("".join)
+CSV_INT = st.one_of(st.integers(), st.builds(
+    lambda digits, lead: lead * 10 ** digits + 7,  # past 4300 digits
+    st.integers(4300, 4400), st.integers(-9, 9)))
+CSV_ROWS = st.lists(st.lists(st.one_of(CSV_INT, CSV_TEXT), max_size=5),
+                    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CSV_ROWS)
+def test_csv_text_matches_the_csv_module(table):
+    header, *rows = table
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as run() prints exact values
+    try:
+        buf = io.StringIO()
+        writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC,
+                            lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert cli._csv_text(header, iter(rows)) == buf.getvalue()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ["plotdata", "unorquot", "--nmax", "6", "--prec", "40"],
+    ["seq", "u", "--n", "5"],
+    ["seq", "t", "--n", "5", "--float", "40"],
+])
+def test_json_and_csv_build_no_table_lines(capsys, monkeypatch, argv):
+    def refuse(rows):
+        raise AssertionError("table lines built")
+
+    monkeypatch.setattr(cli, "_tab_lines", refuse)
+    for fmt in ("json", "csv"):
+        assert invoke(capsys, *argv, "--format", fmt)[0] == 0
+    with pytest.raises(AssertionError, match="table lines built"):
+        run(argv)
 
 
 def test_deterministic_output(capsys):

@@ -12,7 +12,7 @@ from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
                                SymConst, gamma_half_integer, rational_to_float,
                                round_sum)
-from crosscap.sequences import u_seq
+from crosscap.sequences import p_of_g, t_of_g, u_seq, v_seq
 
 
 def pell(steps: int) -> tuple:
@@ -156,6 +156,18 @@ def test_qf3_field_laws(x, y, z):
     assert x * x.inverse() == 1
 
 
+def gamma_unit_steps(coeff: Fraction, gamma_arg: Fraction) -> tuple:
+    """(coeff, gamma_arg) with gamma_arg moved into (-1, 1] one unit step
+    of the functional equation at a time: the reference for SymConst."""
+    while gamma_arg > 1:
+        coeff /= gamma_arg - 1
+        gamma_arg -= 1
+    while gamma_arg <= -1:
+        coeff *= gamma_arg
+        gamma_arg += 1
+    return coeff, gamma_arg
+
+
 class TestSymConst:
     def test_gamma_seven_halves_in_denominator(self):
         # Gamma(7/2) = (15/8) sqrt(pi)
@@ -234,6 +246,33 @@ class TestSymConst:
         assert str(SymConst(2, pi_half=-1)) == "2/√π"
         assert str(SymConst(-2, rad2=1, rad3=1, gamma_arg=Fraction(-1, 4))) \
             == "-2√6/Γ(-1/4)"
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeff=st.fractions(-10 ** 20, 10 ** 20, max_denominator=10 ** 20),
+           d=st.sampled_from([1, 2, 3, 4]), data=st.data())
+    def test_gamma_product_matches_unit_steps(self, coeff, d, data):
+        # the one-product normalization against the unit-step loop it
+        # replaced, for Gamma arguments a/d in [-60, 300], poles excluded
+        a = data.draw(st.integers(-60 * d, 300 * d))
+        assume(a % d or a > 0)
+        gamma_arg = Fraction(a, d)
+        ref_coeff, ref_arg = gamma_unit_steps(coeff, gamma_arg)
+        c = SymConst(coeff, gamma_arg=gamma_arg)
+        ref = SymConst(ref_coeff, gamma_arg=ref_arg)
+        assert (c.coeff, c.rad2, c.rad3, c.pi_half, c.gamma_arg) == \
+            (ref.coeff, ref.rad2, ref.rad3, ref.pi_half, ref.gamma_arg)
+
+    def test_gamma_product_matches_unit_steps_on_t_and_p(self):
+        # t_g and p_{(n+1)/2} through index 120, with their big coefficients
+        u, v = u_seq(120), v_seq(120)
+        for n in range(121):
+            coeff, arg = gamma_unit_steps(-u[n] * Fraction(2) ** (2 - n),
+                                          Fraction(5 * n - 1, 2))
+            assert t_of_g(n) == SymConst(coeff, gamma_arg=arg), n
+            rational, rad3 = (v[n].a, 0) if v[n].b == 0 else (v[n].b, 1)
+            coeff, arg = gamma_unit_steps(rational, Fraction(5 * n - 1, 4))
+            assert p_of_g(n + 1) == SymConst(coeff, rad2=3 - n, rad3=rad3,
+                                             gamma_arg=arg), n
 
     def test_as_dict(self):
         d = SymConst(Fraction(-5, 3), rad2=1, rad3=1,

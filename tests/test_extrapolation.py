@@ -163,6 +163,83 @@ class TestMatchedDigits:
         assert matched_digits(x, x, 30) == 30
 
 
+def log10_digits(value, target, dps: int) -> int:
+    """matched_digits by its earlier formula, floor(1 - log10(2 rel)) at
+    dps digits: the reference for the exact integer comparison."""
+    with mpmath.workdps(dps):
+        rel = abs(mpmath.mpf(value) / mpmath.mpf(target) - 1)
+        if rel == 0:
+            return dps
+        k = int(mpmath.floor(1 - mpmath.log10(2 * rel)))
+    return max(0, min(k, dps))
+
+
+# (which, n, order, dps) of every fixed estimate_stokes call in the tests
+TESTS_ESTIMATES = [
+    ("sprime", 80, 10, 80), ("sminus1", 60, 6, 80), ("sminus1", 30, 6, 40),
+    ("sminus1", 60, 8, 60), ("sminus1", 50, 10, 60), ("sprime", 250, 30, 200),
+    ("sminus1", 100, 10, 200), ("sminus1", 9, 3, 200), ("sminus1", 45, 6, 200),
+    ("sminus1", 120, 10, 100), ("sminus1", 250, 30, 200)]
+# (which, n, order) of the benchmark's stokes workload and of a session's
+# stokes requests, their n growing in 14 steps to half the README example's
+REQUEST_GRID = [("sprime", 250, 30), ("sminus1", 100, 10)] + [
+    (which, -(-top * j // 14), order)
+    for which, top, order in (("sprime", 125, 30), ("sminus1", 50, 10))
+    for j in range(1, 15)]
+
+
+class TestMatchedDigitsAgainstLog10:
+    def test_estimates_in_the_tests(self):
+        for which, n, order, dps in TESTS_ESTIMATES:
+            est = estimate_stokes(which, n, order, dps)
+            assert est.digits == log10_digits(est.value, est.target, dps)
+        with mpmath.workdps(200):
+            targets = {"s": mpmath.sqrt(6), "r": -mpmath.mpf(1) / 5}
+        for probe, target in targets.items():
+            for order in (0, 1, 5, 10, 20, 30):
+                value = probe_richardson(probe, order, 250, 200).value
+                assert matched_digits(value, target, 200) == \
+                    log10_digits(value, target, 200), (probe, order)
+
+    @pytest.mark.parametrize("dps", [30, 60, 200])
+    def test_request_grids(self, dps):
+        for which, n, order in REQUEST_GRID:
+            est = estimate_stokes(which, n, order, dps)
+            assert est.digits == log10_digits(est.value, est.target, dps), \
+                (which, n, order)
+
+    @pytest.mark.parametrize("value, target", [
+        (3, 2), (1, 2), (6, 1), (-4, 1), (11, 10), (101, 100), (1, 3), (2, 3)])
+    def test_at_powers_of_ten(self, value, target):
+        # 2 rel = 1, 10, 0.2, ...: exact dyadic boundaries
+        for dps in (30, 200):
+            assert matched_digits(value, target, dps) == \
+                log10_digits(value, target, dps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dps=st.integers(30, 400), num=st.integers(1, 10 ** 60),
+           den=st.integers(1, 10 ** 60), negative=st.booleans(),
+           kind=st.sampled_from(["exact", "ulps", "near"]),
+           ulps=st.integers(-6, 6), lead=st.integers(-99, 99),
+           power=st.integers(0, 410))
+    def test_near_and_at_the_target(self, dps, num, den, negative, kind,
+                                    ulps, lead, power):
+        with mpmath.workdps(dps):
+            target = mpmath.mpf(-num if negative else num) / den
+        man, exp = target.man_exp
+        ulp = mpmath.ldexp(1, exp + man.bit_length()
+                           - mpmath.libmp.dps_to_prec(dps))
+        with mpmath.workdps(2 * dps + 500):  # ulps exact, offsets kept whole
+            if kind == "exact":
+                value = +target
+            elif kind == "ulps":
+                value = target + ulps * ulp
+            else:
+                value = target * (1 + lead * mpmath.mpf(10) ** -power)
+        assert matched_digits(value, target, dps) == \
+            log10_digits(value, target, dps)
+
+
 class TestStokesEstimates:
     def test_sprime_small_run(self):
         est = estimate_stokes("sprime", n_max=80, order=10, dps=80)
