@@ -63,13 +63,7 @@ def asym_v(n: int, L: int, dps: int = DEFAULT_DPS):
 
     (A/2)^(-n) Gamma(n) (sqrt6/(2 pi)) {1 + sum nu_l (A/2)^l / prod (n-m)}.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if L >= n:
-        raise ValueError("L must be < n (the product prod(n-m) hits zero)")
-    transseries.nu_seq(L)
-    brace = _brace(transseries.NU.ints, L, lambda m: 50 * m * (n - m))
-    return _times_sqrt6_over_pi(brace, 0, n, dps)
+    return asym_vk(0, n, L, dps)
 
 
 def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS):
@@ -89,6 +83,8 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS):
         raise ValueError("k must be >= 0")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if L < 0:
+        raise ValueError("L must be >= 0")
     if L >= n:
         raise ValueError("L must be < n (the product prod(n-m) hits zero)")
     transseries.vk_table(L, k + 1)

@@ -287,15 +287,13 @@ _PLOT_TEXT: dict = {}
 
 def _plot_text(which: str, order: int, dps: int) -> Table:
     """The ``plotdata`` strings of the cached transform rows
-    ``extrapolation._rows(which, order, dps)``, rendered once per process.
-    ``needs`` fills the rows, so ``grow``, which runs under the lock, only
-    copies them."""
+    ``extrapolation._rows(which, order, dps)``, rendered once per process."""
     table = _PLOT_TEXT.get((which, order, dps))
     if table is None:
         rows = _rows(which, order, dps)
         table = _PLOT_TEXT.setdefault((which, order, dps), Table(
-            lambda xs, n: xs.extend(rows.values[len(xs):n + 1]),
-            lambda x, m: _nstr(x, dps), rows.upto))
+            lambda xs, n: xs.extend(rows.upto(n)[len(xs):]),
+            lambda x, m: _nstr(x, dps)))
     return table
 
 

@@ -219,7 +219,8 @@ class QF3:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # a rational hashes as its Fraction, which it equals
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0

@@ -166,6 +166,7 @@ def _window_den(step, closed):
 def _extend_braces(braces: list, n: int) -> None:
     """Grow the signed S_-1 braces (-1)^m B_m in place through m = n: the
     ``_brace`` of W_{l,3} through l = m//2 with step 50 l (m-l), over 12."""
+    vk_table(n // 2, 3)
     big_w3 = transseries.ROWS[3].ints
     for m in range(len(braces), n + 1):
         braces.append((-1) ** m * _brace(
@@ -173,7 +174,7 @@ def _extend_braces(braces: list, n: int) -> None:
 
 
 # Shared by every S_-1 window, so each B_m is built once per process.
-_BRACES = Table(_extend_braces, lambda x, m: x, lambda n: vk_table(n // 2, 3))
+_BRACES = Table(_extend_braces, lambda x, m: x)
 
 
 def _probe(which: str, top: int):
@@ -225,17 +226,15 @@ _TRANSFORM_ROWS: dict = {}
 
 def _rows(which: str, order: int, dps: int) -> Table:
     """The order-``order`` transforms of the probe ``which`` at dps digits,
-    cached: entry i is the transform at n = i + 1.  ``needs`` fills the
-    exact tables that ``grow`` reads, so ``grow`` finds them built and takes
-    no lock."""
+    cached: entry i is the transform at n = i + 1."""
     table = _TRANSFORM_ROWS.get((which, order, dps))
     if table is None:
         def grow(rows: list, n: int) -> None:
             parts = _probe(which, n + 1 + order)
             rows.extend(round_sum(parts(order, m), dps)
                         for m in range(len(rows) + 1, n + 2))
-        table = _TRANSFORM_ROWS.setdefault((which, order, dps), Table(
-            grow, lambda x, m: x, lambda n: _probe(which, n + 1 + order)))
+        table = _TRANSFORM_ROWS.setdefault((which, order, dps),
+                                           Table(grow, lambda x, m: x))
     return table
 
 
@@ -270,8 +269,8 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
     exact = {m: Fraction(*_mpf_ratio(seq[m]))
              for m in range(n, n + order + 1)}
     value = round_sum([((1, 0, 1), _transform(exact, order, n))], seq.dps)
-    guard = seq.dps - len(str(sum(comb(order, k) * (n + k) ** order
-                                  for k in range(order + 1)) // factorial(order)))
+    guard = seq.dps - len(str(sum(map(abs, _weights(order, n)))
+                              // factorial(order)))
     if guard < 30:
         warnings.warn(
             f"only {guard} guard digits at dps={seq.dps} for order "

@@ -22,41 +22,44 @@ from math import factorial
 
 from .exactnum import QF3, SymConst
 
-# Held while a cached table grows; see Table.upto.
-_EXTEND_LOCK = threading.Lock()
+# Held while a cached table grows; see Table.
+_EXTEND_LOCK = threading.RLock()
 
 
 class Table:
     """A cached exact table: the scaled integers ``ints``, which its
     recursion ``grow(ints, n)`` extends through index n in place, and the
     public entries ``values``, ``value(x, m)`` for the integer x at index m.
-    ``needs(n)`` fills the tables that entries through n read.
+
+    One rule keeps the tables safe across threads: a table grows under one
+    reentrant lock, and its ``grow`` builds each table it reads through that
+    table's ``grown``, which takes the lock again.  The new values are
+    published last, by one list.extend, so a hit, which reads the length of
+    ``values``, finds the integers in place and takes no lock.
     """
 
-    def __init__(self, grow, value, needs=lambda n: None) -> None:
+    def __init__(self, grow, value) -> None:
         self.ints: list = []
         self.values: list = []
-        self.grow, self.value, self.needs = grow, value, needs
+        self.grow, self.value = grow, value
 
-    def upto(self, n: int) -> list:
-        """Entries 0..n, the table grown first if it is shorter.
-
-        ``needs`` runs first, outside the lock, which is not reentrant; the
-        tables it fills take the lock in turn.  Then, under the lock, the
-        integers grow and the new values are published last, by one
-        list.extend.  So a hit, which reads the length of ``values``, finds
-        the integers in place and takes no lock.
-        """
+    def grown(self, n: int) -> list:
+        """The integers ``ints``, grown first through index n if shorter."""
         values = self.values
         if len(values) <= n:
-            self.needs(n)
             with _EXTEND_LOCK:
                 start = len(values)
                 if start <= n:
                     self.grow(self.ints, n)
                     values.extend([self.value(x, m) for m, x in
                                    enumerate(self.ints[start:n + 1], start)])
-        return values[: n + 1]
+        return self.ints
+
+    def upto(self, n: int) -> list:
+        """Entries 0..n, the table grown first if it is shorter."""
+        if len(self.values) <= n:
+            self.grown(n)
+        return self.values[: n + 1]
 
 
 def _half_self_convolution(xs: list[int], m: int) -> int:
@@ -107,9 +110,8 @@ def extend_v(big: list[int], big_u: list[int], n: int) -> None:
 
 
 U = Table(extend_u, lambda x, m: Fraction(x, 96 ** m))
-V = Table(lambda big, n: extend_v(big, U.ints, n),
-          lambda x, m: _from_scaled(x, 8 ** m, m - 1),
-          lambda n: u_seq(n // 2))
+V = Table(lambda big, n: extend_v(big, U.grown(n // 2), n),
+          lambda x, m: _from_scaled(x, 8 ** m, m - 1))
 
 
 def u_seq(n: int) -> list[Fraction]:

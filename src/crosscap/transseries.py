@@ -33,7 +33,7 @@ from __future__ import annotations
 from math import factorial
 
 from .exactnum import QF3
-from .sequences import _EXTEND_LOCK, U, V, Table, _from_scaled, u_seq, v_seq
+from .sequences import _EXTEND_LOCK, U, V, Table, _from_scaled
 from .series import Series
 
 _QZERO = QF3(0)
@@ -85,12 +85,10 @@ def extend_nu(big: list[int], big_v: list[int], n: int) -> None:
         big.append(-acc)
 
 
-MU = Table(lambda big, n: extend_mu(big, U.ints, n),
-           lambda x, l: _from_scaled(x, _mu_den(l), l),
-           lambda n: u_seq((n + 1) // 2))
-NU = Table(lambda big, n: extend_nu(big, V.ints, n),
-           lambda x, m: _from_scaled(x, _vk_den(m, 1), m),
-           lambda n: v_seq(n + 1))
+MU = Table(lambda big, n: extend_mu(big, U.grown((n + 1) // 2), n),
+           lambda x, l: _from_scaled(x, _mu_den(l), l))
+NU = Table(lambda big, n: extend_nu(big, V.grown(n + 1), n),
+           lambda x, m: _from_scaled(x, _vk_den(m, 1), m))
 
 
 def mu_seq(n: int) -> list[QF3]:
@@ -133,8 +131,8 @@ def _extend_omega(big: list[int], big_nu: list[int], n: int) -> None:
 
 
 # Only kernels read w, so its entries stay integers: no Fraction is built.
-OMEGA = Table(lambda big, n: _extend_omega(big, NU.ints, n),
-              lambda x, j: x, nu_seq)
+OMEGA = Table(lambda big, n: _extend_omega(big, NU.grown(n), n),
+              lambda x, j: x)
 
 
 def seed_v0k(k: int) -> QF3:
@@ -194,10 +192,9 @@ ROWS: list[Table] = [V, NU]
 
 def _row(k: int) -> Table:
     """Row k >= 2 as a table, grown from row k-1 and Omega."""
-    return Table(
-        lambda big, n: _extend_row(big, ROWS[k - 1].ints, OMEGA.ints, n),
-        lambda x, n: _from_scaled(x, _vk_den(n, k), n + k - 1),
-        lambda n: (vk_table(n, k - 1), OMEGA.upto(n)))
+    return Table(lambda big, n: _extend_row(big, ROWS[k - 1].grown(n),
+                                            OMEGA.grown(n), n),
+                 lambda x, n: _from_scaled(x, _vk_den(n, k), n + k - 1))
 
 
 def vk_table(n_max: int, k_max: int) -> VkTable:
@@ -238,10 +235,11 @@ def _extend_plus(big: list[int], big_minus: list[int], big_omega: list[int],
         big.append(-big_omega[m] - _binomial_dot(big, big_minus, m, m - 1))
 
 
-MINUS = Table(lambda big, n: _extend_minus(big, V.ints, NU.ints, OMEGA.ints, n),
-              NU.value, OMEGA.upto)
-PLUS = Table(lambda big, n: _extend_plus(big, MINUS.ints, OMEGA.ints, n),
-             lambda x, n: _from_scaled(x, _vk_den(n, 2), n + 1), MINUS.upto)
+MINUS = Table(lambda big, n: _extend_minus(big, V.grown(n), NU.grown(n),
+                                            OMEGA.grown(n), n), NU.value)
+PLUS = Table(lambda big, n: _extend_plus(big, MINUS.grown(n),
+                                         OMEGA.grown(n), n),
+             lambda x, n: _from_scaled(x, _vk_den(n, 2), n + 1))
 
 
 def vpm_series(order: int) -> tuple[Series, Series]:

@@ -156,6 +156,14 @@ def test_qf3_field_laws(x, y, z):
     assert x * x.inverse() == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(a=st.one_of(rationals, st.integers(-10 ** 30, 10 ** 30)))
+def test_rational_qf3_hashes_as_its_value(a):
+    # equal values hash equal, so a rational QF3 and its value are one key
+    assert QF3(a) == a and hash(QF3(a)) == hash(a)
+    assert len({QF3(a), a}) == 1 and {a: 1}.get(QF3(a)) == 1
+
+
 def gamma_unit_steps(coeff: Fraction, gamma_arg: Fraction) -> tuple:
     """(coeff, gamma_arg) with gamma_arg moved into (-1, 1] one unit step
     of the functional equation at a time: the reference for SymConst."""

@@ -823,14 +823,37 @@ def test_rejected_plotdata_creates_no_text_table(argv, capsys):
         assert cli._PLOT_TEXT == before
 
 
-def test_first_plotdata_from_empty_caches_finishes():
-    # the text table grows under the lock, so the rows and the exact tables
-    # it reads must be filled before, or the first request hangs
+def sminus1_rows_reference(n_max, orders, dps):
+    parts = ref_probe("sminus1", 1, n_max + max(orders))
+    return [(n, *(ref_round(parts, N, n, dps) for N in orders))
+            for n in range(1, n_max + 1)]
+
+
+# A first build from empty caches, (build, reference), per table graph
+# entry point.
+FIRST_BUILDS = {
+    **{name: (lambda build=build: build(REF_N),
+              lambda name=name: reference()[name])
+       for name, build in BUILDERS.items()},
+    "vpm": (lambda: vpm_lists(VPM_N), vpm_reference),
+    "quad": (lambda: quadrangulation_counts(QUAD_N), quad_reference),
+    "sminus1_rows": (lambda: convergence_rows("sminus1", 30, (0, 2), 60),
+                     lambda: sminus1_rows_reference(30, (0, 2), 60)),
+    "plotdata": (lambda: plot_request("firstcorr", 30, 40),
+                 lambda: plot_reference("firstcorr", 30, 40, "csv")),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_BUILDS)
+def test_first_plotdata_from_empty_caches_finishes(name):
+    # a table's grow builds the tables it reads inside the lock it holds,
+    # which it takes again for each of them; so the lock must be reentrant,
+    # or the first build from empty caches hangs
+    build, ref = FIRST_BUILDS[name]
     out = []
     with fresh_caches():
-        t = threading.Thread(target=lambda: out.append(
-            plot_request("firstcorr", 30, 40)), daemon=True)
+        t = threading.Thread(target=lambda: out.append(build()), daemon=True)
         t.start()
         t.join(timeout=30)
         assert not t.is_alive()
-        assert out == [plot_reference("firstcorr", 30, 40, "csv")]
+        assert out == [ref()]
