@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import factorial, isqrt, prod
+from math import isqrt, prod
 
 DEFAULT_DPS = 200
 
@@ -105,9 +105,10 @@ def _sums_to_zero(exact) -> bool:
 
 def _mpf_ratio(x) -> tuple:
     """The exact value of an ``mpmath.mpf`` as integers (p, q), q a power of
-    two."""
+    two; nan and the infinities, whose bit count is negative, raise
+    ``ValueError``."""
     sign, man, exp, bc = x._mpf_
-    if bc == -1:
+    if bc < 0:
         raise ValueError(f"cannot convert {x} to a rational number")
     if sign:
         man = -man
@@ -398,18 +399,11 @@ class SymConst:
 
 
 def gamma_half_integer(q) -> SymConst:
-    """Exact Gamma(q) for q = m + 1/2 or a positive integer, as a SymConst.
-
-    Half-integer values use Gamma(1/2 + m) = (2m)!/(4^m m!) * sqrt(pi) and
-    Gamma(1/2 - m) = (-4)^m m!/(2m)! * sqrt(pi).
-    """
+    """Exact Gamma(q) for q = m + 1/2 or a positive integer, as a SymConst:
+    the inverse of 1/Gamma(q), which ``SymConst``'s normalization absorbs
+    into ``coeff`` and ``pi_half``."""
     q = _as_fraction(q)
-    if q.denominator == 1:
-        if q <= 0:
-            raise GammaPoleError(f"Gamma({q}) is a pole")
-        return SymConst(factorial(q.numerator - 1))
-    if q.denominator != 2:
+    if q.denominator > 2:
         raise ValueError(f"Gamma({q}) is not integer or half-integer")
-    m = abs(q.numerator) // 2 + (q < 0)  # q = 1/2 + m or 1/2 - m
-    ratio = Fraction(factorial(2 * m), 4 ** m * factorial(m))
-    return SymConst(ratio if q > 0 else (-1) ** m / ratio, pi_half=1)
+    s = SymConst(1, gamma_arg=q)
+    return SymConst(1 / s.coeff, pi_half=-s.pi_half)

@@ -12,17 +12,18 @@ and the N-th Richardson transform at n is the linear combination
 By parity s_n = 2 pi sqrt3 q_n and r_n = sqrt2 pi (n q_n) - n with q_n
 rational, and the sequence behind S_-1 is 2 pi sqrt3 L_n - 3 sqrt6 B_n with
 L_n, B_n rational.  By linearity each transform is a few constants times
-exact rational transforms, combined and rounded once (``round_sum``).  The
-rational transforms of crosscap's own sequences read the tables' stored
-integers over closed-form denominators (``_probe``); ``richardson``
-transforms user float data exactly as given (``_transform``).
+exact rational transforms, combined and rounded once (``round_sum``).  Each
+rational transform is one integer sum over a closed-form denominator: the
+transforms of crosscap's own sequences sum the tables' stored integers by
+Horner's rule (``_horner``, ``_probe``), and ``richardson`` sums user float
+data exactly as given, each value p / 2^e over the window's largest 2^E.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, perm, prod
 
 from . import sequences, transseries
 from .exactnum import DEFAULT_DPS, _mpf_ratio, round_sum
@@ -98,18 +99,6 @@ class RichardsonResult(_Record):
         super().__init__(order, index, value)
 
 
-def _transform(x, order: int, n: int) -> tuple:
-    """(1/N!) sum_k (-1)^(k+N) C(N,k) (n+k)^N x[n+k], N = order, x[m] ints or
-    Fractions, exactly: (numerator, denominator), one integer sum over the
-    terms' common denominator, not reduced."""
-    weights = _weights(order, n)
-    terms = [x[n + k] for k in range(order + 1)]
-    den = lcm(*(t.denominator for t in terms))
-    total = sum(w * t.numerator * (den // t.denominator)
-                for w, t in zip(weights, terms))
-    return total, den * factorial(order)
-
-
 def _weights(order: int, n: int) -> list[int]:
     """(-1)^(k+N) C(N,k) (n+k)^N for k = 0..N, N = order."""
     if n < 1 or order < 0:
@@ -164,16 +153,21 @@ def _window_den(step, closed):
 
 
 def _extend_braces(braces: list, n: int) -> None:
-    """Grow the signed S_-1 braces (-1)^m B_m in place through m = n: the
-    ``_brace`` of W_{l,3} through l = m//2 with step 50 l (m-l), over 12."""
+    """Grow the integers X_m = d_m B_m in place through m = n, over the S_-1
+    lead's d_m = 6 50^m m! (m-1)!: B_m is the Horner sum H_m of W_{l,3}
+    through l = h = m//2 with step 50 l (m-l), over 12 50^h h! (m-1)! /
+    (m-1-h)!, so X_m = 25 50^(m-h-1) (m!/h!) (m-1-h)! H_m.  X_0 is a
+    placeholder: d_0 does not exist."""
     vk_table(n // 2, 3)
     big_w3 = transseries.ROWS[3].ints
     for m in range(len(braces), n + 1):
-        braces.append((-1) ** m * _brace(
-            big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12)
+        h = m // 2
+        braces.append(m and _horner(
+            [1] * (h + 1), big_w3, 0, lambda l: 50 * l * (m - l))
+            * 25 * 50 ** (m - h - 1) * perm(m, m - h) * factorial(m - 1 - h))
 
 
-# Shared by every S_-1 window, so each B_m is built once per process.
+# Shared by every S_-1 window, so each X_m is built once per process.
 _BRACES = Table(_extend_braces, lambda x, m: x)
 
 
@@ -184,10 +178,11 @@ def _probe(which: str, top: int):
 
     By parity the probes are s_m = 2 pi sqrt3 q_m, r_m = sqrt2 pi m q_m - m
     and, behind S_-1, (-1)^m [2 pi sqrt3 L_m - 3 sqrt6 B_m], with
-    q_m = R_m / (10^m (m-1)!), L_m = W_{m,2} / (6 50^m m! (m-1)!) and
-    B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)), the
-    ``_brace`` of W_{l,3} with step 50 l (m-l), over 12 (``_BRACES``).
-    The transform of m itself is (N+1)(2n+N)/2.
+    q_m = R_m / (10^m (m-1)!), L_m = W_{m,2} / d_m and B_m = X_m / d_m over
+    the lead's d_m = 6 50^m m! (m-1)!, where
+    B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)) and X_m are
+    the integers in ``_BRACES``.  The transform of m itself is
+    (N+1)(2n+N)/2.
     """
     if which in ("s", "r"):
         v_seq(top)
@@ -206,16 +201,16 @@ def _probe(which: str, top: int):
     if which != "sminus1":
         raise ValueError(f"unknown probe {which!r}")
     vk_table(top, 2)
-    braces = _BRACES.upto(top)
+    big_x = _BRACES.grown(top)
     big_w2 = transseries.ROWS[2].ints
     den = _window_den(_lead_step, lambda m: 6 * 50 ** m * factorial(m)
                       * factorial(m - 1))
 
     def parts(order: int, n: int) -> list:
         weights = [(-1) ** m * w for m, w in enumerate(_weights(order, n), n)]
-        lead = _horner(weights, big_w2, n, _lead_step)
-        return [((2, 1, 3), (lead, factorial(order) * den(n + order))),
-                ((-3, 0, 6), _transform(braces, order, n))]
+        d = factorial(order) * den(n + order)
+        return [((2, 1, 3), (_horner(weights, big_w2, n, _lead_step), d)),
+                ((-3, 0, 6), (_horner(weights, big_x, n, _lead_step), d))]
     return parts
 
 
@@ -259,18 +254,21 @@ def probe_richardson(which: str, order: int, n: int,
 
 def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
     """Order-``order`` transform of ``seq`` at index n (data through n +
-    order), exact over the binary values given and rounded once at seq.dps.
-    Warns when the weights leave fewer than 30 of the inputs' digits.
+    order), exact over the binary values given and rounded once at seq.dps:
+    each value p / 2^e, scaled to the window's largest 2^E, in one integer
+    sum over 2^E N!.  Warns when the weights leave fewer than 30 of the
+    inputs' digits.
     """
     if n < seq.start or n + order > seq.last:
         raise ValueError(
             f"transform at n={n} needs entries {n}..{n + order}, "
             f"sequence covers {seq.start}..{seq.last}")
-    exact = {m: Fraction(*_mpf_ratio(seq[m]))
-             for m in range(n, n + order + 1)}
-    value = round_sum([((1, 0, 1), _transform(exact, order, n))], seq.dps)
-    guard = seq.dps - len(str(sum(map(abs, _weights(order, n)))
-                              // factorial(order)))
+    weights = _weights(order, n)
+    exact = [_mpf_ratio(seq[m]) for m in range(n, n + order + 1)]
+    den = max(q for _, q in exact)
+    total = sum(w * p * (den // q) for w, (p, q) in zip(weights, exact))
+    value = round_sum([((1, 0, 1), (total, den * factorial(order)))], seq.dps)
+    guard = seq.dps - len(str(sum(map(abs, weights)) // factorial(order)))
     if guard < 30:
         warnings.warn(
             f"only {guard} guard digits at dps={seq.dps} for order "

@@ -157,9 +157,14 @@ class VkTable:
         return len(self._rows) - 1
 
     def value(self, n: int, k: int) -> QF3:
+        if not (0 <= n <= self.max_index and 0 <= k <= self.max_sector):
+            raise IndexError(f"(n, k) = ({n}, {k}) outside [0, "
+                             f"{self.max_index}] x [0, {self.max_sector}]")
         return self._rows[k][n]
 
     def row(self, k: int) -> list[QF3]:
+        if not 0 <= k <= self.max_sector:
+            raise IndexError(f"k={k} outside [0, {self.max_sector}]")
         return list(self._rows[k])
 
 

@@ -1,5 +1,5 @@
 import crosscap
-from crosscap import asymptotics, exactnum, series, transseries
+from crosscap import asymptotics, exactnum, extrapolation, series, transseries
 from crosscap.series import Series
 
 REMOVED = {
@@ -7,6 +7,7 @@ REMOVED = {
                "const_sqrt6", "TransseriesError"),
     asymptotics: ("AsymParams", "gamma_exact_half"),
     transseries: ("TransseriesError",),
+    extrapolation: ("_transform",),
     exactnum: ("const_pi", "const_sqrt2", "const_sqrt3", "const_sqrt6",
                "RationalLike", "sqrt_fraction"),
     series: ("_field_inverse",),

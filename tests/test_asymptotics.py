@@ -48,6 +48,12 @@ class TestAsymU:
             asym_u(5, -1, DPS)
 
 
+@pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+def test_relative_error_rejects_special_values(special):
+    with pytest.raises(ValueError, match="rational"):
+        relative_error(mpmath.mpf(special), 3, 40)
+
+
 class TestAsymV:
     def test_leading_order_error_at_100(self):
         err = relative_error(asym_v(100, 0, DPS), v_seq(100)[100], DPS)

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import factorial
 
 import mpmath
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from crosscap.exactnum import rational_to_float
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning,
-                                    RichardsonResult, StokesEstimate, _transform,
+                                    RichardsonResult, StokesEstimate, _weights,
                                     estimate_stokes, matched_digits,
                                     probe_richardson, r_seq, richardson, s_seq,
                                     convergence_rows)
@@ -279,7 +280,8 @@ def test_kernel_returns_constant_term_exactly(data):
     x = {m: sum((c / Fraction(m) ** j for j, c in enumerate(coeffs)),
                 Fraction(0))
          for m in range(n, n + order + 1)}
-    assert Fraction(*_transform(x, order, n)) == coeffs[0]
+    assert sum(w * x[m] for m, w in enumerate(_weights(order, n), n)) \
+        == coeffs[0] * factorial(order)
 
 
 class TestInputValidation:
@@ -301,6 +303,13 @@ class TestInputValidation:
     def test_rejects_n_below_one_or_negative_order(self, call):
         with pytest.raises(ValueError):
             call()
+
+    @pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+    def test_rejects_special_values(self, special):
+        values = [mpmath.mpf(m) for m in range(1, 11)]
+        values[5] = mpmath.mpf(special)  # index 6
+        with pytest.raises(ValueError, match="rational"):
+            richardson(FloatSeq(1, tuple(values), 40), 3, 4)
 
 
 TRANSFORM = RichardsonResult(2, 5, mpmath.mpf("0.5"))

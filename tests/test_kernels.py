@@ -28,12 +28,13 @@ import json
 import os
 import sys
 import threading
+import warnings
 from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from functools import cache
 from unittest.mock import patch
 
-from math import factorial, isqrt
+from math import comb, factorial, isqrt, lcm
 
 import mpmath
 import pytest
@@ -41,9 +42,9 @@ from hypothesis import given, settings, strategies as st
 
 from crosscap import cli, extrapolation, sequences, specgeom, transseries
 from crosscap.exactnum import QF3, round_sum
-from crosscap.extrapolation import (_brace, _probe, _transform,
-                                    convergence_rows, estimate_stokes,
-                                    probe_richardson)
+from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
+                                    _probe, convergence_rows, estimate_stokes,
+                                    probe_richardson, richardson)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
@@ -589,9 +590,21 @@ def ref_probe(which, lo, top):
     return [((2, 1, 3), signed_lead), ((-3, 0, 6), brace)]
 
 
+def ref_transform(x, order, n):
+    """(1/N!) sum_k (-1)^(k+N) C(N,k) (n+k)^N x[n+k], N = order, x[m] ints or
+    Fractions, exactly: (numerator, denominator), one integer sum over the
+    lcm of the terms' denominators."""
+    terms = [Fraction(x[n + k]) for k in range(order + 1)]
+    den = lcm(*(t.denominator for t in terms))
+    total = sum((-1) ** (k + order) * comb(order, k) * (n + k) ** order
+                * t.numerator * (den // t.denominator)
+                for k, t in enumerate(terms))
+    return total, den * factorial(order)
+
+
 def ref_round(parts, order, n, dps):
-    return round_sum([(const, _transform(x, order, n)) for const, x in parts],
-                     dps)
+    return round_sum([(const, ref_transform(x, order, n))
+                      for const, x in parts], dps)
 
 
 def library_probe(which, order, n, dps):
@@ -618,6 +631,27 @@ def test_convergence_rows_match_reference():
         assert [(n, *(x._mpf_ for x in xs)) for n, *xs in rows] == ref, which
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order=st.integers(0, 30), n=st.integers(1, 300),
+       dps=st.integers(15, 120))
+def test_richardson_matches_reference_bit_for_bit(data, order, n, dps):
+    # binary values of mixed sign and exponent, zeros among them
+    bits = mpmath.libmp.dps_to_prec(dps)
+    pairs = data.draw(st.lists(
+        st.tuples(st.just(0) | st.integers(-(1 << bits) + 1, (1 << bits) - 1),
+                  st.integers(-400, 400)),
+        min_size=order + 1, max_size=order + 1))
+    values = tuple(mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(man, exp))
+                   for man, exp in pairs)
+    exact = {m: man * Fraction(2) ** exp
+             for m, (man, exp) in enumerate(pairs, n)}
+    ref = round_sum([((1, 0, 1), ref_transform(exact, order, n))], dps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        value = richardson(FloatSeq(n, values, dps), order, n).value
+    assert value._mpf_ == ref._mpf_
+
+
 def test_probe_closed_forms():
     top = 200
     q = ref_sqrt3_parts(v_seq(top))
@@ -635,7 +669,7 @@ def test_probe_closed_forms():
     # the order-N transform of x_m = m
     for order in range(31):
         for n in range(1, top + 1, 3):
-            assert Fraction(*_transform(range(n + order + 1), order, n)) \
+            assert Fraction(*ref_transform(range(n + order + 1), order, n)) \
                 == Fraction((order + 1) * (2 * n + order), 2), (order, n)
 
 
@@ -711,15 +745,16 @@ def test_braces_are_the_row3_brace():
         braces = extrapolation._BRACES.upto(260)
         big_w3 = transseries.ROWS[3].ints
         assert len(braces) == 261
-        for m, brace in enumerate(braces):
-            assert brace == (-1) ** m * _brace(
-                big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12, m
+        # X_m = d_m B_m over the lead's d_m; X_0 is a placeholder
+        for m in range(1, 261):
+            assert braces[m] == 6 * 50 ** m * factorial(m) * factorial(m - 1) \
+                * _brace(big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12, m
 
 
 def test_second_sminus1_estimate_builds_no_brace():
     with fresh_caches():
         first = estimate_stokes("sminus1", 60, 8, 60)
-        with patch.object(extrapolation, "_brace",
+        with patch.object(extrapolation._BRACES, "grow",
                           side_effect=AssertionError("brace rebuilt")):
             assert estimate_stokes("sminus1", 60, 8, 60) == first
             estimate_stokes("sminus1", 50, 10, 60)

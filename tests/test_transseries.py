@@ -129,6 +129,17 @@ class TestVkTable:
         for k in range(4):
             assert large.row(k)[:9] == small.row(k)
 
+    @pytest.mark.parametrize("n, k", [(-1, 0), (0, -1), (6, 0), (0, 3),
+                                      (-6, -3)])
+    def test_indices_outside_the_table_raise(self, n, k):
+        # no wrap-around: v_{-1,0} is not v_{5,0}
+        table = vk_table(5, 2)
+        with pytest.raises(IndexError):
+            table.value(n, k)
+        if not 0 <= k <= 2:
+            with pytest.raises(IndexError):
+                table.row(k)
+
 
 class TestVpm:
     # known closed coefficients through x^-5
