@@ -20,10 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from . import transseries
 from .exactnum import DEFAULT_DPS, QF3, _mpf_ratio, gamma_half_integer, round_sum
 from .extrapolation import _brace
 from .sequences import _from_scaled
+from .transseries import MU, _row
 
 INSTANTON_ACTION = QF3(0, Fraction(8, 5))   # A = 8 sqrt3 / 5
 HALF_ACTION = QF3(0, Fraction(4, 5))        # A/2, the v-sector eigenvalue
@@ -42,9 +42,7 @@ def asym_u(n: int, L: int, dps: int = DEFAULT_DPS):
         raise ValueError("n must be >= 1")
     if L < 0:
         raise ValueError("L must be >= 0")
-    transseries.mu_seq(L)
-    brace = _brace(transseries.MU.ints, L,
-                   lambda m: 100 * m * (4 * n - 1 - 2 * m))
+    brace = _brace(MU.grown(L), L, lambda m: 100 * m * (4 * n - 1 - 2 * m))
     g = gamma_half_integer(Fraction(4 * n - 1, 2)).coeff
     exact = Fraction(25, 192) ** n * g / 5 * brace
     return round_sum([((-1, -1, 30), exact.as_integer_ratio())], dps)
@@ -87,11 +85,9 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS):
         raise ValueError("L must be >= 0")
     if L >= n:
         raise ValueError("L must be < n (the product prod(n-m) hits zero)")
-    transseries.vk_table(L, k + 1)
-    rows = transseries.ROWS
-    z = (k + 1) * _brace(rows[k + 1].ints, L, lambda m: 50 * m * (n - m))
+    z = (k + 1) * _brace(_row(k + 1).grown(L), L, lambda m: 50 * m * (n - m))
     if k >= 2:
-        z -= (-1) ** n * (k - 1) * _brace(rows[k - 1].ints, L,
+        z -= (-1) ** n * (k - 1) * _brace(_row(k - 1).grown(L), L,
                                           lambda m: -50 * m * (n - m))
     return _times_sqrt6_over_pi(z, k, n, dps)
 
@@ -102,6 +98,8 @@ def relative_error(approx, exact, dps: int = DEFAULT_DPS):
     With exact = (alpha + beta sqrt3) / (a_den b_den), its parts a and b
     over their denominators, and D = alpha^2 - 3 beta^2, the ratio is
     P a_den b_den (alpha - beta sqrt3) / (Q D): two parts over integers.
+    ``approx`` must be an ``mpmath.mpf``: a Python float or int raises
+    ``TypeError``.
     """
     exact = exact if isinstance(exact, QF3) else QF3(exact)
     (a, a_den), (b, b_den) = (exact.a.as_integer_ratio(),

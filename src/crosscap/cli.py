@@ -21,8 +21,9 @@ import os
 import sys
 
 from . import __version__
-from .exactnum import DEFAULT_DPS, SymbolicConstantError, rational_to_float
-from .sequences import Table, intersection_number, p_of_g, t_of_g, u_seq, v_seq
+from .exactnum import (DEFAULT_DPS, SymbolicConstantError, _nstr,
+                       rational_to_float)
+from .sequences import intersection_number, p_of_g, t_of_g, u_seq, v_seq
 from .transseries import mu_seq, nu_seq, vk_table, vpm_series
 from .asymptotics import asym_u, asym_v, asym_vk, relative_error
 from .extrapolation import _rows, estimate_stokes, probe_richardson
@@ -43,11 +44,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be at least {low}")
         return value
     return parse
-
-
-def _nstr(x, dps: int) -> str:
-    import mpmath
-    return mpmath.nstr(x, dps, strip_zeros=True)
 
 
 @functools.cache
@@ -281,26 +277,10 @@ def _cmd_intersect(args, dps: int) -> None:
           params={"g": args.g})
 
 
-# The rendered plot text, one Table per (probe, order, dps); see _plot_text.
-_PLOT_TEXT: dict = {}
-
-
-def _plot_text(which: str, order: int, dps: int) -> Table:
-    """The ``plotdata`` strings of the cached transform rows
-    ``extrapolation._rows(which, order, dps)``, rendered once per process."""
-    table = _PLOT_TEXT.get((which, order, dps))
-    if table is None:
-        rows = _rows(which, order, dps)
-        table = _PLOT_TEXT.setdefault((which, order, dps), Table(
-            lambda xs, n: xs.extend(rows.upto(n)[len(xs):]),
-            lambda x, m: _nstr(x, dps)))
-    return table
-
-
 def _cmd_plotdata(args, dps: int) -> None:
     which = "s" if args.name == "unorquot" else "r"
     orders = (0, 1, 5)
-    columns = [_plot_text(which, N, dps).upto(args.nmax - 1) for N in orders]
+    columns = [_rows(which, N, dps).upto(args.nmax - 1) for N in orders]
     _emit(args, ["n"] + [f"{which}{N}[dps={dps}]" for N in orders],
           zip(range(1, args.nmax + 1), *columns), precision=dps,
           params={"name": args.name, "nmax": args.nmax})

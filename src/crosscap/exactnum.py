@@ -90,6 +90,12 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
         extra = lost + 64
 
 
+def _nstr(x, dps: int) -> str:
+    """The printed decimal string of an ``mpmath.mpf`` at dps digits."""
+    import mpmath
+    return mpmath.nstr(x, dps, strip_zeros=True)
+
+
 def _sums_to_zero(exact) -> bool:
     """Whether the (c pi^a sqrt(b), p, q) terms sum to exactly 0: each term
     is collected on the first constant pi^a sqrt(b0) with b b0 a square,
@@ -106,8 +112,12 @@ def _sums_to_zero(exact) -> bool:
 def _mpf_ratio(x) -> tuple:
     """The exact value of an ``mpmath.mpf`` as integers (p, q), q a power of
     two; nan and the infinities, whose bit count is negative, raise
-    ``ValueError``."""
-    sign, man, exp, bc = x._mpf_
+    ``ValueError``, and any other type, a Python float or int included,
+    raises ``TypeError``."""
+    mpf = getattr(x, "_mpf_", None)
+    if mpf is None:
+        raise TypeError(f"expected an mpmath.mpf, got {type(x).__name__}")
+    sign, man, exp, bc = mpf
     if bc < 0:
         raise ValueError(f"cannot convert {x} to a rational number")
     if sign:

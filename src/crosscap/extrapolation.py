@@ -25,10 +25,9 @@ import warnings
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
-from . import sequences, transseries
-from .exactnum import DEFAULT_DPS, _mpf_ratio, round_sum
-from .sequences import Table, v_seq
-from .transseries import vk_table
+from .exactnum import DEFAULT_DPS, _mpf_ratio, _nstr, round_sum
+from .sequences import V, Table
+from .transseries import _row
 
 
 class PrecisionWarning(UserWarning):
@@ -158,8 +157,7 @@ def _extend_braces(braces: list, n: int) -> None:
     through l = h = m//2 with step 50 l (m-l), over 12 50^h h! (m-1)! /
     (m-1-h)!, so X_m = 25 50^(m-h-1) (m!/h!) (m-1-h)! H_m.  X_0 is a
     placeholder: d_0 does not exist."""
-    vk_table(n // 2, 3)
-    big_w3 = transseries.ROWS[3].ints
+    big_w3 = _row(3).grown(n // 2)
     for m in range(len(braces), n + 1):
         h = m // 2
         braces.append(m and _horner(
@@ -185,8 +183,7 @@ def _probe(which: str, top: int):
     (N+1)(2n+N)/2.
     """
     if which in ("s", "r"):
-        v_seq(top)
-        big_v = sequences.V.ints
+        big_v = V.grown(top)
         den = _window_den(_q_step, lambda m: 10 ** m * factorial(m - 1))
 
         def parts(order: int, n: int) -> list:
@@ -200,9 +197,7 @@ def _probe(which: str, top: int):
         return parts
     if which != "sminus1":
         raise ValueError(f"unknown probe {which!r}")
-    vk_table(top, 2)
-    big_x = _BRACES.grown(top)
-    big_w2 = transseries.ROWS[2].ints
+    big_w2, big_x = _row(2).grown(top), _BRACES.grown(top)
     den = _window_den(_lead_step, lambda m: 6 * 50 ** m * factorial(m)
                       * factorial(m - 1))
 
@@ -214,22 +209,23 @@ def _probe(which: str, top: int):
     return parts
 
 
-# The rounded transforms behind convergence_rows, one Table per (probe,
-# order, dps); see _rows.
+# The rounded transforms behind convergence_rows and their plot text, one
+# Table per (probe, order, dps); see _rows.
 _TRANSFORM_ROWS: dict = {}
 
 
 def _rows(which: str, order: int, dps: int) -> Table:
     """The order-``order`` transforms of the probe ``which`` at dps digits,
-    cached: entry i is the transform at n = i + 1."""
+    cached: entry i is the transform at n = i + 1, rounded in ``ints`` and
+    printed in ``values``."""
     table = _TRANSFORM_ROWS.get((which, order, dps))
     if table is None:
         def grow(rows: list, n: int) -> None:
             parts = _probe(which, n + 1 + order)
             rows.extend(round_sum(parts(order, m), dps)
                         for m in range(len(rows) + 1, n + 2))
-        table = _TRANSFORM_ROWS.setdefault((which, order, dps),
-                                           Table(grow, lambda x, m: x))
+        table = _TRANSFORM_ROWS.setdefault(
+            (which, order, dps), Table(grow, lambda x, m: _nstr(x, dps)))
     return table
 
 
@@ -257,7 +253,8 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
     order), exact over the binary values given and rounded once at seq.dps:
     each value p / 2^e, scaled to the window's largest 2^E, in one integer
     sum over 2^E N!.  Warns when the weights leave fewer than 30 of the
-    inputs' digits.
+    inputs' digits.  The values must be ``mpmath.mpf``: a Python float or
+    int raises ``TypeError``.
     """
     if n < seq.start or n + order > seq.last:
         raise ValueError(
@@ -325,12 +322,14 @@ def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
                      dps: int = DEFAULT_DPS) -> list[tuple]:
     """(n, transform values per order) rows behind the convergence plots,
     n = 1..n_max.  Each value is rounded once per process: the rows are
-    cached per (probe, order, dps) in ``_TRANSFORM_ROWS``."""
+    cached per (probe, order, dps) in ``_TRANSFORM_ROWS``, and printed only
+    when ``plotdata`` reads them."""
     if which not in ("s", "r", "sminus1"):
         raise ValueError(f"unknown probe {which!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if min(orders) < 0:
         raise ValueError(f"a transform needs order >= 0: {orders}")
-    columns = [_rows(which, N, dps).upto(n_max - 1) for N in orders]
+    # zip stops at n_max: entries past it may be growing in another thread
+    columns = [_rows(which, N, dps).grown(n_max - 1) for N in orders]
     return list(zip(range(1, n_max + 1), *columns))

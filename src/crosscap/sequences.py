@@ -29,13 +29,15 @@ _EXTEND_LOCK = threading.RLock()
 class Table:
     """A cached exact table: the scaled integers ``ints``, which its
     recursion ``grow(ints, n)`` extends through index n in place, and the
-    public entries ``values``, ``value(x, m)`` for the integer x at index m.
+    public entries ``values``, ``value(x, m)`` for the integer x at index m,
+    built the first time they are read.
 
     One rule keeps the tables safe across threads: a table grows under one
     reentrant lock, and its ``grow`` builds each table it reads through that
-    table's ``grown``, which takes the lock again.  The new values are
-    published last, by one list.extend, so a hit, which reads the length of
-    ``values``, finds the integers in place and takes no lock.
+    table's ``grown``, which takes the lock again.  A grow appends only
+    finished entries, in index order, and new values are published by one
+    list.extend, so a hit, which reads the length of ``ints`` or ``values``,
+    takes no lock.
     """
 
     def __init__(self, grow, value) -> None:
@@ -45,21 +47,22 @@ class Table:
 
     def grown(self, n: int) -> list:
         """The integers ``ints``, grown first through index n if shorter."""
+        ints = self.ints
+        if len(ints) <= n:
+            with _EXTEND_LOCK:
+                if len(ints) <= n:
+                    self.grow(ints, n)
+        return ints
+
+    def upto(self, n: int) -> list:
+        """Entries 0..n, built from ``grown(n)`` if not read before."""
         values = self.values
         if len(values) <= n:
             with _EXTEND_LOCK:
                 start = len(values)
-                if start <= n:
-                    self.grow(self.ints, n)
-                    values.extend([self.value(x, m) for m, x in
-                                   enumerate(self.ints[start:n + 1], start)])
-        return self.ints
-
-    def upto(self, n: int) -> list:
-        """Entries 0..n, the table grown first if it is shorter."""
-        if len(self.values) <= n:
-            self.grown(n)
-        return self.values[: n + 1]
+                values.extend([self.value(x, m) for m, x in
+                               enumerate(self.grown(n)[start:n + 1], start)])
+        return values[: n + 1]
 
 
 def _half_self_convolution(xs: list[int], m: int) -> int:

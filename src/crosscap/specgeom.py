@@ -10,7 +10,8 @@ and the one-crosscap four-valent resolvent residue
     x0^4 - alpha^4 - x0^2 (x0^2 + 2 alpha^2) sqrt(1 - 4 alpha^2 / x0^2)
 
 is a regular power series t^2 sum c_n (-4 lam t)^(n-1) whose integer
-coefficients c_n count rooted quadrangulations of RP^2 with n vertices.
+coefficients c_n count rooted quadrangulations of RP^2 with n faces (and
+so n + 1 vertices): c_1 = 5 glues one square.
 
 The counts are computed from the linear recurrence, c[m] = c_{m+1},
 
@@ -119,7 +120,8 @@ QUAD = Table(_extend_quad, lambda x, m: x)
 
 
 def quadrangulation_counts(n_max: int) -> list[int]:
-    """c_1 .. c_{n_max}: rooted quadrangulations of the projective plane.
+    """c_1 .. c_{n_max}: c_n rooted quadrangulations of the projective
+    plane with n faces, n + 1 vertices.
 
     Cached like the other tables: a call at or below a built size computes
     nothing; a larger one runs the recurrence on from the built counts and

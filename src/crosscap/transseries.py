@@ -18,7 +18,7 @@ are geometric: with vhat_k = sum_{n>=0} v_{n,k} x^-n,
 for one series w with a first-order recursion (``_extend_omega``), so row
 k is row k-1 times w.  These recursions, and those of mu, nu and the pair
 below, run on scaled integers; each table is a ``Table``, and the rows
-form the list ``ROWS``.
+form the list ``ROWS``, which ``_row`` extends.
 
 ``vpm_series`` gives the two formal power series v_plus, v_minus with
 
@@ -191,28 +191,33 @@ def _extend_row(big: list[int], lower: list[int], big_omega: list[int],
         big.append(_binomial_dot(lower, big_omega, m, m))
 
 
-# Row k of v_{n,k} is ROWS[k]: row 0 is v, row 1 is nu.
+# Row k of v_{n,k} is ROWS[k]: row 0 is v, row 1 is nu; see _row.
 ROWS: list[Table] = [V, NU]
 
 
 def _row(k: int) -> Table:
-    """Row k >= 2 as a table, grown from row k-1 and Omega."""
-    return Table(lambda big, n: _extend_row(big, ROWS[k - 1].grown(n),
-                                            OMEGA.grown(n), n),
-                 lambda x, n: _from_scaled(x, _vk_den(n, k), n + k - 1))
+    """Row k of v_{n,k} as a table; row k >= 2, grown from row k-1 and
+    Omega, is made on first use."""
+    if len(ROWS) <= k:
+        _row(k - 1)
+        with _EXTEND_LOCK:
+            if len(ROWS) == k:
+                ROWS.append(Table(
+                    lambda big, n: _extend_row(big, ROWS[k - 1].grown(n),
+                                               OMEGA.grown(n), n),
+                    lambda x, n: _from_scaled(x, _vk_den(n, k), n + k - 1)))
+    return ROWS[k]
 
 
 def vk_table(n_max: int, k_max: int) -> VkTable:
     """Exact table of v_{n,k} for n <= n_max, k <= k_max."""
     if n_max < 0 or k_max < 0:
         raise ValueError("table bounds must be non-negative")
-    if len(ROWS) <= k_max:
-        with _EXTEND_LOCK:
-            while len(ROWS) <= k_max:
-                ROWS.append(_row(len(ROWS)))
-    # a row never outgrows the rows below it, so row k_max is the shortest
-    if len(ROWS[k_max].values) <= n_max:
-        ROWS[k_max].upto(n_max)
+    # a row k >= 2 gets its values only here, after every row below it;
+    # nu_seq builds nu's alone, so row 0 is checked too
+    if len(_row(k_max).values) <= n_max or len(V.values) <= n_max:
+        for row in ROWS[: k_max + 1]:
+            row.upto(n_max)
     return VkTable([row.values[: n_max + 1] for row in ROWS[: k_max + 1]])
 
 
@@ -255,6 +260,5 @@ def vpm_series(order: int) -> tuple[Series, Series]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    plus = PLUS.upto(order)
-    return (Series(plus, 0, _QZERO),
-            Series(MINUS.values[: order + 1], 0, _QZERO))
+    return (Series(PLUS.upto(order), 0, _QZERO),
+            Series(MINUS.upto(order), 0, _QZERO))

@@ -1,11 +1,13 @@
 import crosscap
-from crosscap import asymptotics, exactnum, extrapolation, series, transseries
+from crosscap import (asymptotics, cli, exactnum, extrapolation, series,
+                      transseries)
 from crosscap.series import Series
 
 REMOVED = {
     crosscap: ("AsymParams", "const_pi", "const_sqrt2", "const_sqrt3",
                "const_sqrt6", "TransseriesError"),
     asymptotics: ("AsymParams", "gamma_exact_half"),
+    cli: ("_PLOT_TEXT", "_plot_text"),
     transseries: ("TransseriesError",),
     extrapolation: ("_transform",),
     exactnum: ("const_pi", "const_sqrt2", "const_sqrt3", "const_sqrt6",

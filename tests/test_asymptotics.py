@@ -54,6 +54,12 @@ def test_relative_error_rejects_special_values(special):
         relative_error(mpmath.mpf(special), 3, 40)
 
 
+@pytest.mark.parametrize("approx", [2.0, 2])
+def test_relative_error_rejects_python_numbers(approx):
+    with pytest.raises(TypeError, match=type(approx).__name__):
+        relative_error(approx, 3, 40)
+
+
 class TestAsymV:
     def test_leading_order_error_at_100(self):
         err = relative_error(asym_v(100, 0, DPS), v_seq(100)[100], DPS)

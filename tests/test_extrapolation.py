@@ -108,6 +108,11 @@ class TestRichardson:
         with pytest.raises(ValueError):
             richardson(seq, 10, 15)
 
+    @pytest.mark.parametrize("values", [(1.0, 2.0, 3.0), (1, 2, 3)])
+    def test_rejects_python_numbers(self, values):
+        with pytest.raises(TypeError, match=type(values[0]).__name__):
+            richardson(FloatSeq(1, values, 30), 1, 1)
+
     def test_precision_warning(self):
         seq = s_seq(80, 40)
         with pytest.warns(PrecisionWarning):

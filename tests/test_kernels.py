@@ -41,10 +41,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscap import cli, extrapolation, sequences, specgeom, transseries
+from crosscap.asymptotics import asym_vk
 from crosscap.exactnum import QF3, round_sum
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
                                     _probe, convergence_rows, estimate_stokes,
-                                    probe_richardson, richardson)
+                                    probe_richardson, r_seq, richardson,
+                                    s_seq)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
@@ -271,8 +273,7 @@ BUILDERS = {
 @contextmanager
 def fresh_caches():
     """Empty stand-ins for every table in the crosscap modules, and rows
-    k >= 2, the cached transform rows and the plot text dropped, for one
-    block."""
+    k >= 2 and the cached transform rows dropped, for one block."""
     tables = {id(x): x for name, module in list(sys.modules.items())
               if name.startswith("crosscap.")
               for x in vars(module).values() if isinstance(x, Table)}
@@ -284,7 +285,6 @@ def fresh_caches():
             transseries, "ROWS", [sequences.V, transseries.NU]))
         stack.enter_context(patch.dict(extrapolation._TRANSFORM_ROWS,
                                        clear=True))
-        stack.enter_context(patch.dict(cli._PLOT_TEXT, clear=True))
         yield
 
 
@@ -357,7 +357,8 @@ def test_concurrent_builds_match_serial():
             [vk_table(n, 3).row(k) for k in range(4)], vpm_lists(n // 4 + 5), \
             quadrangulation_counts(n // 2 + 10), \
             convergence_rows("s", n // 2, (0, 5), 40), \
-            cli._plot_text("r", 5, 40).upto(n // 3)
+            extrapolation._rows("r", 5, 40).upto(n // 3), \
+            asym_vk(2, n // 2, 5, 40), estimate_stokes("sminus1", n // 3, 4, 40)
 
     with fresh_caches():
         serial = [work(n) for n in sizes]
@@ -733,6 +734,36 @@ def test_bad_rows_request_creates_no_table(args):
         assert extrapolation._TRANSFORM_ROWS == before
 
 
+def kernel_only_reads():
+    estimate_stokes("sprime", 60, 10, 60)
+    estimate_stokes("sminus1", 30, 6, 60)
+    asym_vk(2, 40, 5, 60)
+
+
+def test_kernels_read_integers_only():
+    with fresh_caches():
+        kernel_only_reads()
+        tables = {"U": sequences.U, "V": sequences.V, "nu": transseries.NU,
+                  "Omega": transseries.OMEGA, "row2": transseries.ROWS[2],
+                  "row3": transseries.ROWS[3]}
+        for name, table in tables.items():
+            assert table.ints and not table.values, name
+
+
+def test_public_tables_after_kernel_only_growth():
+    def public():
+        return (vk_table(50, 1).row(0),
+                [vk_table(50, k).row(k) for k in range(4)], v_seq(70),
+                vpm_lists(30), nu_seq(60))
+
+    with fresh_caches():
+        fresh = public()
+    with fresh_caches():
+        kernel_only_reads()
+        nu_seq(60)  # nu's values alone: vk_table must still build row 0's
+        assert public() == fresh
+
+
 # ---------------------------------------------------------------------------
 # the shared S_-1 braces
 # ---------------------------------------------------------------------------
@@ -833,7 +864,8 @@ def test_plotdata_text_matches_direct_rendering():
 def test_plotdata_hit_renders_nothing():
     with fresh_caches():
         first = plot_request("unorquot", 40, 60)
-        with patch.object(cli, "_nstr", wraps=cli._nstr) as counted:
+        with patch.object(extrapolation, "_nstr",
+                          wraps=extrapolation._nstr) as counted:
             assert plot_request("unorquot", 40, 60) == first
             assert plot_request("unorquot", 25, 60, "json") == \
                 plot_reference("unorquot", 25, 60, "json")
@@ -843,7 +875,8 @@ def test_plotdata_hit_renders_nothing():
 def test_growing_plotdata_renders_only_the_new_values():
     with fresh_caches():
         plot_request("firstcorr", 40, 60)
-        with patch.object(cli, "_nstr", wraps=cli._nstr) as counted:
+        with patch.object(extrapolation, "_nstr",
+                          wraps=extrapolation._nstr) as counted:
             plot_request("firstcorr", 60, 60)
         assert counted.call_count == 3 * 20
 
@@ -853,9 +886,27 @@ def test_growing_plotdata_renders_only_the_new_values():
 def test_rejected_plotdata_creates_no_text_table(argv, capsys):
     with fresh_caches():
         plot_request("unorquot", 10, 40)
-        before = dict(cli._PLOT_TEXT)
+        before = dict(extrapolation._TRANSFORM_ROWS)
         assert cli.run(["plotdata", "firstcorr", *argv]) == 2
-        assert cli._PLOT_TEXT == before
+        assert extrapolation._TRANSFORM_ROWS == before
+
+
+def test_plotdata_after_rows_prints_the_cached_rounding():
+    with fresh_caches():
+        convergence_rows("r", 40, (0, 1, 5), 60)
+        with patch.object(extrapolation, "round_sum",
+                          side_effect=AssertionError("rounded again")):
+            text = plot_request("firstcorr", 40, 60)
+        assert text == plot_reference("firstcorr", 40, 60, "csv")
+
+
+def test_convergence_rows_print_nothing():
+    with fresh_caches():
+        with patch.object(extrapolation, "_nstr",
+                          side_effect=AssertionError("printed")):
+            convergence_rows("s", 40, (0, 1, 5), 60)
+            s_seq(30, 60)
+            r_seq(30, 60)
 
 
 def sminus1_rows_reference(n_max, orders, dps):

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -114,3 +117,70 @@ class TestIntersectionNumbers:
     def test_genus_one_domain_error(self):
         with pytest.raises(ValueError):
             intersection_number(1)
+
+    @pytest.mark.parametrize("g", range(2, 8))
+    def test_matches_virasoro_recursion(self, g):
+        # <tau_2^(3g-3)>_g from the DVV recursion, which never reads u
+        assert intersection_number(g) == psi_intersection(g, (0, 0, 3 * g - 3))
+
+
+def _double_factorial(m: int) -> int:
+    """m!! for odd m >= -1, with (-1)!! = 1."""
+    return prod(range(m, 0, -2))
+
+
+def _bump(counts: tuple, d: int, step: int) -> tuple:
+    """The multiplicity vector ``counts`` with one more tau_d if step is 1,
+    one fewer if -1, trailing zeros stripped."""
+    out = list(counts) + [0] * (d + 1 - len(counts))
+    out[d] += step
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@cache
+def psi_intersection(g: int, counts: tuple) -> Fraction:
+    """<tau_0^counts[0] tau_1^counts[1] ...>_g, the psi-class intersection
+    numbers, by the Virasoro (DVV) recursion (Dijkgraaf, Verlinde and
+    Verlinde, Nucl. Phys. B 348 (1991) 435; Witten, Surveys Diff. Geom. 1
+    (1991) 243): peeling tau_(k+1), the largest class present,
+
+        (2k+3)!! <tau_(k+1) tau_D>_g
+          = sum_j (2k+2d_j+1)!!/(2d_j-1)!! <tau_D, d_j -> d_j+k>_g
+          + 1/2 sum_(r+s=k-1) (2r+1)!! (2s+1)!! (<tau_r tau_s tau_D>_(g-1)
+              + sum_(I u J = D) <tau_r tau_I>_(g1) <tau_s tau_J>_(g-g1)),
+
+    from <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  A marking is a multiplicity
+    vector, so a split I u J of D is a sub-vector a <= D, counted
+    prod C(D_d, a_d) times, and its genus g1 is fixed by the dimension."""
+    n = sum(counts)
+    if g < 0 or sum(d * c for d, c in enumerate(counts)) != 3 * g - 3 + n:
+        return Fraction(0)
+    if (g, counts) in ((0, (3,)), (1, (0, 1))):
+        return Fraction(1) if g == 0 else Fraction(1, 24)
+    k = len(counts) - 2
+    if k < 0:
+        return Fraction(0)
+    rest = _bump(counts, k + 1, -1)
+    total = Fraction(0)
+    for d, c in enumerate(rest):
+        if c:
+            total += c * Fraction(_double_factorial(2 * k + 2 * d + 1),
+                                  _double_factorial(2 * d - 1)) \
+                * psi_intersection(g, _bump(_bump(rest, d, -1), d + k, 1))
+    for r in range(k):
+        s = k - 1 - r
+        pair = Fraction(_double_factorial(2 * r + 1)
+                        * _double_factorial(2 * s + 1), 2)
+        joined = psi_intersection(g - 1, _bump(_bump(rest, r, 1), s, 1))
+        for part in product(*(range(c + 1) for c in rest)):
+            left = _bump(tuple(part), r, 1)
+            other = _bump(tuple(c - a for c, a in zip(rest, part)), s, 1)
+            dim = sum(d * c for d, c in enumerate(left)) - sum(left) + 3
+            if dim % 3 == 0:
+                joined += prod(map(comb, rest, part)) \
+                    * psi_intersection(dim // 3, left) \
+                    * psi_intersection(g - dim // 3, other)
+        total += pair * joined
+    return total / _double_factorial(2 * k + 3)
