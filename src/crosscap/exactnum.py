@@ -61,8 +61,10 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
     Constants with the same a and the same squarefree part of b are
     linearly dependent over Q, and their parts can sum to exactly 0, which
     no precision resolves: the first widening checks for that exactly and
-    raises ``ValueError``.
+    raises ``ValueError``, as does dps < 1.
     """
+    if dps < 1:
+        raise ValueError("dps must be >= 1")
     import mpmath
     exact = [(const, p, q) for const, (p, q) in parts if p]
     if not exact:

@@ -13,10 +13,11 @@ By parity s_n = 2 pi sqrt3 q_n and r_n = sqrt2 pi (n q_n) - n with q_n
 rational, and the sequence behind S_-1 is 2 pi sqrt3 L_n - 3 sqrt6 B_n with
 L_n, B_n rational.  By linearity each transform is a few constants times
 exact rational transforms, combined and rounded once (``round_sum``).  Each
-rational transform is one integer sum over a closed-form denominator: the
-transforms of crosscap's own sequences sum the tables' stored integers by
-Horner's rule (``_horner``, ``_probe``), and ``richardson`` sums user float
-data exactly as given, each value p / 2^e over the window's largest 2^E.
+rational transform is one integer sum over one denominator: the transforms
+of crosscap's own sequences sum the tables' stored integers by Horner's rule
+over the window's last entry of a denominator table (``_horner``,
+``_parts``), and ``richardson`` sums user float data exactly as given, each
+value p / 2^e over the window's largest 2^E.
 """
 
 from __future__ import annotations
@@ -134,21 +135,19 @@ def _brace(big: list[int], top: int, step) -> Fraction:
                     prod(map(step, range(1, top + 1))))
 
 
-def _window_den(step, closed):
-    """d_last as a function of a window's last index, for denominators with
-    d_m = step(m) d_{m-1} and closed form ``closed(m)``: a pass over
-    consecutive windows takes one step per call."""
-    end, d_end = -1, 0
+def _extend_den(dens: list, n: int, step, first: int) -> None:
+    """Grow the window denominators d_m = step(m) d_{m-1} in place through
+    m = n, with d_1 = first.  d_0 is a placeholder: the probes start at 1."""
+    if not dens:
+        dens += [0, first]
+    for m in range(len(dens), n + 1):
+        dens.append(step(m) * dens[m - 1])
 
-    def den(last: int) -> int:
-        nonlocal end, d_end
-        if last == end + 1:
-            d_end *= step(last)
-        elif last != end:
-            d_end = closed(last)
-        end = last
-        return d_end
-    return den
+
+_Q_DEN = Table(lambda dens, n: _extend_den(dens, n, _q_step, 10),
+               lambda x, m: x)
+_LEAD_DEN = Table(lambda dens, n: _extend_den(dens, n, _lead_step, 300),
+                  lambda x, m: x)
 
 
 def _extend_braces(braces: list, n: int) -> None:
@@ -169,44 +168,34 @@ def _extend_braces(braces: list, n: int) -> None:
 _BRACES = Table(_extend_braces, lambda x, m: x)
 
 
-def _probe(which: str, top: int):
-    """The probe ``which`` through index top, as a function (order, n) ->
-    the ``round_sum`` parts of its order-``order`` transform at n, which
-    reads the stored integers of the window n..n+order only.
+def _parts(which: str, order: int, n: int) -> list:
+    """The ``round_sum`` parts of the order-``order`` transform of the probe
+    ``which`` at n, which reads the stored integers of the window n..n+order
+    only.
 
     By parity the probes are s_m = 2 pi sqrt3 q_m, r_m = sqrt2 pi m q_m - m
     and, behind S_-1, (-1)^m [2 pi sqrt3 L_m - 3 sqrt6 B_m], with
-    q_m = R_m / (10^m (m-1)!), L_m = W_{m,2} / d_m and B_m = X_m / d_m over
-    the lead's d_m = 6 50^m m! (m-1)!, where
+    q_m = R_m / d_m over ``_Q_DEN``, and L_m = W_{m,2} / d_m and
+    B_m = X_m / d_m over ``_LEAD_DEN``, where
     B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)) and X_m are
     the integers in ``_BRACES``.  The transform of m itself is
     (N+1)(2n+N)/2.
     """
-    if which in ("s", "r"):
-        big_v = V.grown(top)
-        den = _window_den(_q_step, lambda m: 10 ** m * factorial(m - 1))
-
-        def parts(order: int, n: int) -> list:
-            weights = _weights(order, n)
-            d = factorial(order) * den(n + order)
-            if which == "s":
-                return [((2, 1, 3), (_horner(weights, big_v, n, _q_step), d))]
-            weights = [w * m for m, w in enumerate(weights, n)]
-            return [((1, 1, 2), (_horner(weights, big_v, n, _q_step), d)),
-                    ((-1, 0, 1), ((order + 1) * (2 * n + order), 2))]
-        return parts
-    if which != "sminus1":
+    if which not in ("s", "r", "sminus1"):
         raise ValueError(f"unknown probe {which!r}")
-    big_w2, big_x = _row(2).grown(top), _BRACES.grown(top)
-    den = _window_den(_lead_step, lambda m: 6 * 50 ** m * factorial(m)
-                      * factorial(m - 1))
-
-    def parts(order: int, n: int) -> list:
-        weights = [(-1) ** m * w for m, w in enumerate(_weights(order, n), n)]
-        d = factorial(order) * den(n + order)
+    weights, top = _weights(order, n), n + order
+    if which == "sminus1":
+        weights = [(-1) ** m * w for m, w in enumerate(weights, n)]
+        big_w2, big_x = _row(2).grown(top), _BRACES.grown(top)
+        d = factorial(order) * _LEAD_DEN.grown(top)[top]
         return [((2, 1, 3), (_horner(weights, big_w2, n, _lead_step), d)),
                 ((-3, 0, 6), (_horner(weights, big_x, n, _lead_step), d))]
-    return parts
+    big_v, d = V.grown(top), factorial(order) * _Q_DEN.grown(top)[top]
+    if which == "s":
+        return [((2, 1, 3), (_horner(weights, big_v, n, _q_step), d))]
+    weights = [w * m for m, w in enumerate(weights, n)]
+    return [((1, 1, 2), (_horner(weights, big_v, n, _q_step), d)),
+            ((-1, 0, 1), ((order + 1) * (2 * n + order), 2))]
 
 
 # The rounded transforms behind convergence_rows and their plot text, one
@@ -221,8 +210,7 @@ def _rows(which: str, order: int, dps: int) -> Table:
     table = _TRANSFORM_ROWS.get((which, order, dps))
     if table is None:
         def grow(rows: list, n: int) -> None:
-            parts = _probe(which, n + 1 + order)
-            rows.extend(round_sum(parts(order, m), dps)
+            rows.extend(round_sum(_parts(which, order, m), dps)
                         for m in range(len(rows) + 1, n + 2))
         table = _TRANSFORM_ROWS.setdefault(
             (which, order, dps), Table(grow, lambda x, m: _nstr(x, dps)))
@@ -243,9 +231,9 @@ def r_seq(n_max: int, dps: int = DEFAULT_DPS) -> FloatSeq:
 
 def probe_richardson(which: str, order: int, n: int,
                      dps: int = DEFAULT_DPS) -> RichardsonResult:
-    """Order-``order`` transform of the probe ``which`` ("s" or "r") at n."""
-    value = round_sum(_probe(which, n + order)(order, n), dps)
-    return RichardsonResult(order, n, value)
+    """Order-``order`` transform of the probe ``which`` ("s", "r" or
+    "sminus1") at n."""
+    return RichardsonResult(order, n, round_sum(_parts(which, order, n), dps))
 
 
 def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
@@ -279,6 +267,8 @@ def matched_digits(value, target, dps: int) -> int:
     k = 1 - c for the least integer c with 2 rel <= 10^c, rel the dyadic
     |value/target - 1| at dps digits, found by exact integer comparison.
     """
+    if dps < 1:
+        raise ValueError("dps must be >= 1")
     import mpmath
     with mpmath.workdps(dps):
         rel = abs(mpmath.mpf(value) / mpmath.mpf(target) - 1)
@@ -311,11 +301,12 @@ def estimate_stokes(which: str, n_max: int = 250, order: int = 30,
     probe = {"sprime": "s", "sminus1": "sminus1"}.get(which)
     if probe is None:
         raise ValueError("which must be 'sprime' or 'sminus1'")
-    value = round_sum(_probe(probe, n_max + order)(order, n_max), dps)
+    transform = probe_richardson(probe, order, n_max, dps)
     target = round_sum([((1, 0, 6), (1, 1) if probe == "s" else (-1, 12))],
                        dps)
-    return StokesEstimate(value, target, matched_digits(value, target, dps),
-                          RichardsonResult(order, n_max, value))
+    return StokesEstimate(transform.value, target,
+                          matched_digits(transform.value, target, dps),
+                          transform)
 
 
 def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
@@ -328,8 +319,10 @@ def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
         raise ValueError(f"unknown probe {which!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if min(orders) < 0:
-        raise ValueError(f"a transform needs order >= 0: {orders}")
+    if not orders or min(orders) < 0:
+        raise ValueError(f"orders must be one or more integers >= 0: {orders}")
+    if dps < 1:
+        raise ValueError("dps must be >= 1")
     # zip stops at n_max: entries past it may be growing in another thread
     columns = [_rows(which, N, dps).grown(n_max - 1) for N in orders]
     return list(zip(range(1, n_max + 1), *columns))

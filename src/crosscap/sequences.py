@@ -56,6 +56,8 @@ class Table:
 
     def upto(self, n: int) -> list:
         """Entries 0..n, built from ``grown(n)`` if not read before."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
         values = self.values
         if len(values) <= n:
             with _EXTEND_LOCK:
@@ -119,15 +121,11 @@ V = Table(lambda big, n: extend_v(big, U.grown(n // 2), n),
 
 def u_seq(n: int) -> list[Fraction]:
     """u_0 .. u_n, exact."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return U.upto(n)
 
 
 def v_seq(n: int) -> list[QF3]:
     """v_0 .. v_n, exact elements of Q(sqrt3)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return V.upto(n)
 
 
@@ -149,11 +147,7 @@ def p_of_g(twog: int) -> SymConst:
     if twog < 1:
         raise ValueError("twog must be positive")
     n = twog - 1
-    v_n = v_seq(n)[n]
-    if v_n.a != 0 and v_n.b != 0:
-        raise ValueError(f"v_{n} breaks the parity structure")
-    rational, rad3 = (v_n.a, 0) if v_n.b == 0 else (v_n.b, 1)
-    return SymConst(rational, rad2=3 - n, rad3=rad3,
+    return SymConst(Fraction(V.grown(n)[n], 8 ** n), rad2=3 - n, rad3=1 - n,
                     gamma_arg=Fraction(5 * n - 1, 4))
 
 

@@ -93,15 +93,11 @@ NU = Table(lambda big, n: extend_nu(big, V.grown(n + 1), n),
 
 def mu_seq(n: int) -> list[QF3]:
     """mu_0 .. mu_n, the u-sector one-instanton coefficients."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return MU.upto(n)
 
 
 def nu_seq(n: int) -> list[QF3]:
     """nu_0 .. nu_n, the v-sector one-instanton coefficients."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return NU.upto(n)
 
 

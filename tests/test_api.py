@@ -1,6 +1,13 @@
+from fractions import Fraction
+
+import mpmath
+import pytest
+
 import crosscap
-from crosscap import (asymptotics, cli, exactnum, extrapolation, series,
-                      transseries)
+from crosscap import (FloatSeq, QF3, SymConst, asym_v, asymptotics, cli,
+                      estimate_stokes, exactnum, extrapolation,
+                      matched_digits, probe_richardson, rational_to_float,
+                      relative_error, richardson, series, transseries)
 from crosscap.series import Series
 
 REMOVED = {
@@ -28,3 +35,26 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
             assert name not in getattr(module, "__all__", ())
+
+
+# one call per public function that returns or compares floats at dps digits
+FLOAT_ENTRY_POINTS = {
+    "rational_to_float": lambda dps: rational_to_float(Fraction(1, 3), dps),
+    "QF3.to_float": lambda dps: QF3(1, 1).to_float(dps),
+    "SymConst.to_float": lambda dps: SymConst(3, rad2=1).to_float(dps),
+    "asym_v": lambda dps: asym_v(20, 2, dps),
+    "relative_error": lambda dps: relative_error(mpmath.mpf(2), 3, dps),
+    "probe_richardson": lambda dps: probe_richardson("s", 2, 10, dps),
+    "estimate_stokes": lambda dps: estimate_stokes("sprime", 10, 2, dps),
+    "richardson": lambda dps: richardson(
+        FloatSeq(1, tuple(map(mpmath.mpf, range(1, 6))), dps), 2, 1),
+    "matched_digits": lambda dps: matched_digits(mpmath.mpf(2),
+                                                 mpmath.mpf(2), dps),
+}
+
+
+@pytest.mark.parametrize("dps", [0, -3])
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRY_POINTS))
+def test_float_entry_points_reject_dps_below_one(name, dps):
+    with pytest.raises(ValueError, match="dps must be >= 1"):
+        FLOAT_ENTRY_POINTS[name](dps)

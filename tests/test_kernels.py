@@ -44,7 +44,7 @@ from crosscap import cli, extrapolation, sequences, specgeom, transseries
 from crosscap.asymptotics import asym_vk
 from crosscap.exactnum import QF3, round_sum
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
-                                    _probe, convergence_rows, estimate_stokes,
+                                    _parts, convergence_rows, estimate_stokes,
                                     probe_richardson, r_seq, richardson,
                                     s_seq)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
@@ -699,7 +699,7 @@ def test_transform_rows_match_direct_rounding():
                     key = which, order, n, dps
                     if key not in direct:
                         direct[key] = round_sum(
-                            _probe(which, n + order)(order, n), dps)._mpf_
+                            _parts(which, order, n), dps)._mpf_
                     assert value._mpf_ == direct[key], key
 
 
@@ -724,7 +724,9 @@ def test_growing_rows_rounds_only_the_new_values():
 
 @pytest.mark.parametrize("args", [("s", 0, (0, 1), 40),
                                   ("r", 30, (0, -1), 40),
-                                  ("sprime", 30, (0,), 40)])
+                                  ("sprime", 30, (0,), 40),
+                                  ("s", 10, (0,), 0),
+                                  ("s", 10, (), 40)])
 def test_bad_rows_request_creates_no_table(args):
     with fresh_caches():
         convergence_rows("s", 10, (0,), 40)

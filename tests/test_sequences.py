@@ -93,6 +93,18 @@ class TestMapConstants:
         assert p_of_g(3) == SymConst(Fraction(1, 3), rad2=1, rad3=1,
                                      gamma_arg=Fraction(1, 4))
 
+    def test_p_matches_the_qf3_formula(self):
+        # p_{(n+1)/2} = v_n / (2^((n-3)/2) Gamma((5n-1)/4)), with v_n a
+        # rational or a rational times sqrt3 by parity
+        v = v_seq(399)
+        for twog in range(1, 401):
+            n = twog - 1
+            rational, rad3 = (v[n].a, 0) if v[n].b == 0 else (v[n].b, 1)
+            ref = SymConst(rational, rad2=3 - n, rad3=rad3,
+                           gamma_arg=Fraction(5 * n - 1, 4))
+            got = p_of_g(twog)
+            assert (got, str(got), repr(got)) == (ref, str(ref), repr(ref))
+
     def test_p_integer_g_positive_numeric(self):
         for g in range(1, 21):
             c = p_of_g(2 * g)

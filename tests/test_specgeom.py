@@ -1,11 +1,26 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscap.exactnum import SymConst
+from crosscap.extrapolation import matched_digits
+from crosscap.sequences import p_of_g
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
                                quadrangulation_counts, rp2_correlator_series,
                                x02_series)
+
+# P(z, C) = 0 from _extend_quad's docstring, C = sum c[m] z^m, as
+# {power of C: {power of z: coeff}}
+CERTIFICATE = {4: {6: 3}, 3: {5: 12, 4: -6}, 2: {4: 18, 3: 24, 2: 1},
+               1: {3: 12, 2: 66, 1: 8, 0: -2}, 0: {2: 3, 1: 36, 0: 10}}
+
+
+def certificate(z, c, dz=False):
+    """P(z, c), or its z-derivative P_z(z, c) when dz is true."""
+    return sum(a * (j * z ** (j - 1) if dz else z ** j) * c ** k
+               for k, row in CERTIFICATE.items() for j, a in row.items())
 
 
 class TestAlpha2:
@@ -73,8 +88,6 @@ class TestQuadrangulationCounts:
             quadrangulation_counts(0)
 
     def test_certificate_equation_through_z199(self):
-        # P(z, C) = 0 from _extend_quad's docstring, C = sum c[m] z^m;
-        # P's coefficients are listed as {power of C: {power of z: coeff}}
         n = 200
         c = quadrangulation_counts(n)
         powers = [[1] + [0] * (n - 1), c]
@@ -82,14 +95,57 @@ class TestQuadrangulationCounts:
             last = powers[-1]
             powers.append([sum(last[i] * c[e - i] for i in range(e + 1))
                            for e in range(n)])
-        poly = {4: {6: 3}, 3: {5: 12, 4: -6}, 2: {4: 18, 3: 24, 2: 1},
-                1: {3: 12, 2: 66, 1: 8, 0: -2}, 0: {2: 3, 1: 36, 0: 10}}
         total = [0] * n
-        for k, row in poly.items():
+        for k, row in CERTIFICATE.items():
             for j, a in row.items():
                 for e in range(j, n):
                     total[e] += a * powers[k][e - j]
         assert total == [0] * n
+
+
+class TestLeadingConstant:
+    """c_n ~ K 12^n n^(-5/4) with K = 2 p_{1/2} exactly: the singular
+    expansion of C at z = 1/12, then Flajolet-Odlyzko transfer."""
+
+    def test_fourfold_root_at_the_singularity(self):
+        # P(1/12, C) is the quartic (C - 60)^4 / 995328: it agrees at 5 points
+        z = Fraction(1, 12)
+        assert [certificate(z, 60 + d) for d in range(5)] == \
+            [Fraction(d ** 4, 995328) for d in range(5)]
+        assert certificate(z, 60, dz=True) == 2304
+
+    def test_constant_is_twice_p_one_half(self):
+        # C = 60 + c1 t + ..., t = (1 - 12z)^(1/4): the t^4 terms of P give
+        # c1^4 / 995328 = P_z(1/12, 60) / 12, so c1^4 = 13824^2 = (48^2 6)^2
+        z = Fraction(1, 12)
+        c1_4 = 995328 * certificate(z, 60, dz=True) / 12
+        assert c1_4 == 13824 ** 2 and 13824 == 48 ** 2 * 6
+        # [z^m] t = 12^m prod_{j<m} (j - 1/4) / m! ~ 12^m m^(-5/4) / Gamma(-1/4)
+        # and Gamma(-1/4) < 0, so c_n > 0 takes c1 = -48 sqrt6; c_n = c[n-1]
+        # puts 12^(n-1), so K = c1 / (12 Gamma(-1/4))
+        assert mpmath.gamma(mpmath.mpf(-1) / 4) < 0
+        const = SymConst(Fraction(-48, 12), rad2=1, rad3=1,
+                         gamma_arg=Fraction(-1, 4))
+        p = p_of_g(1)
+        assert const == SymConst(2 * p.coeff, rad2=p.rad2, rad3=p.rad3,
+                                 pi_half=p.pi_half, gamma_arg=p.gamma_arg)
+
+    def test_transfer_fit_matches(self):
+        # c_n / (12^n n^(-5/4)) fitted by n^(-j/4), j < 20, at 20 points
+        ns = range(2000, 2761, 40)
+        counts = quadrangulation_counts(ns[-1])
+        dps = 120
+        with mpmath.workdps(dps):
+            powers = mpmath.matrix([[mpmath.mpf(n) ** (-mpmath.mpf(j) / 4)
+                                     for j in range(20)] for n in ns])
+            scaled = mpmath.matrix([mpmath.mpf(counts[n - 1])
+                                    / mpmath.mpf(12) ** n
+                                    * mpmath.mpf(n) ** (mpmath.mpf(5) / 4)
+                                    for n in ns])
+            fitted = mpmath.lu_solve(powers, scaled)[0]
+            exact = -4 * mpmath.sqrt(6) / mpmath.gamma(mpmath.mpf(-1) / 4)
+        # measured: |fitted / exact - 1| = 2.9e-17
+        assert matched_digits(fitted, exact, dps) == 17
 
 
 @pytest.mark.parametrize("build", [alpha2_series, x02_series,
