@@ -20,7 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import DEFAULT_DPS, QF3, _mpf_ratio, gamma_half_integer, round_sum
+from .exactnum import (DEFAULT_DPS, QF3, _check_dps, _mpf_ratio,
+                       gamma_half_integer, round_sum)
 from .extrapolation import _brace
 from .sequences import _from_scaled
 from .transseries import MU, _row
@@ -38,6 +39,7 @@ def asym_u(n: int, L: int, dps: int = DEFAULT_DPS):
     A^(1/2) 3^(1/4) = 2 sqrt30 / 5 and Gamma(2n-1/2) = g sqrt(pi) with g
     rational, this is -(25/192)^n (g/5) {...} sqrt30/pi.
     """
+    _check_dps(dps)
     if n < 1:
         raise ValueError("n must be >= 1")
     if L < 0:
@@ -77,6 +79,7 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS):
     braces F and B, of rows k+1 and k-1, combine as (k+1) F - (-1)^n (k-1) B
     over 2 (2 sqrt3)^k.
     """
+    _check_dps(dps)
     if k < 0:
         raise ValueError("k must be >= 0")
     if n < 1:

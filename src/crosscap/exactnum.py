@@ -3,7 +3,8 @@ symbolic constants with Gamma normalization, and the one rounding of exact
 values to mpmath floats.
 
 Rationals are plain ``fractions.Fraction`` throughout; every operation in
-this module is pure and all values are immutable after construction.
+this module is pure, and all values are immutable after construction,
+deletion included: ``QF3`` and ``SymConst`` share one base, ``_Record``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,48 @@ class GammaPoleError(ValueError):
 
 class SymbolicConstantError(ValueError):
     """Numeric evaluation requested for a symbolic-only constant."""
+
+
+def _check_dps(dps: int) -> None:
+    """Reject a precision below one digit, before any other work."""
+    if dps < 1:
+        raise ValueError("dps must be >= 1")
+
+
+class _Record:
+    """Immutable record: fields set once, in ``__slots__`` order, equal and
+    hashed by value, shown as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 def _as_fraction(x) -> Fraction:
@@ -63,8 +106,7 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
     no precision resolves: the first widening checks for that exactly and
     raises ``ValueError``, as does dps < 1.
     """
-    if dps < 1:
-        raise ValueError("dps must be >= 1")
+    _check_dps(dps)
     import mpmath
     exact = [(const, p, q) for const, (p, q) in parts if p]
     if not exact:
@@ -137,17 +179,13 @@ def rational_to_float(q, dps: int = DEFAULT_DPS):
 # Q(sqrt3)
 # ---------------------------------------------------------------------------
 
-class QF3:
+class QF3(_Record):
     """Element a + b*sqrt(3) of Q(sqrt3) with exact Fraction components."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0) -> None:
-        object.__setattr__(self, "a", _as_fraction(a))
-        object.__setattr__(self, "b", _as_fraction(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QF3 values are immutable")
+        super().__init__(_as_fraction(a), _as_fraction(b))
 
     @classmethod
     def _coerce(cls, x) -> "QF3 | None":
@@ -257,9 +295,6 @@ class QF3:
         sign = "+" if self.b > 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}√3"
 
-    def __repr__(self) -> str:
-        return f"QF3({self.a!r}, {self.b!r})"
-
 
 SQRT3 = QF3(0, 1)
 
@@ -268,7 +303,7 @@ SQRT3 = QF3(0, 1)
 # canonical symbolic constants
 # ---------------------------------------------------------------------------
 
-class SymConst:
+class SymConst(_Record):
     """Canonical constant coeff * sqrt2^rad2 * sqrt3^rad3 * pi^(pi_half/2) / Gamma(gamma_arg).
 
     The constructor normalizes: arbitrary integer radical exponents are
@@ -317,30 +352,11 @@ class SymConst:
             rad2 = rad3 = pi_half = 0
             gamma_arg = None
 
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "rad2", rad2)
-        object.__setattr__(self, "rad3", rad3)
-        object.__setattr__(self, "pi_half", pi_half)
-        object.__setattr__(self, "gamma_arg", gamma_arg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymConst values are immutable")
+        super().__init__(coeff, rad2, rad3, pi_half, gamma_arg)
 
     def normalized(self) -> "SymConst":
         """Re-run normalization (idempotence check hook)."""
-        return SymConst(self.coeff, self.rad2, self.rad3, self.pi_half,
-                        self.gamma_arg)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymConst):
-            return NotImplemented
-        return (self.coeff == other.coeff and self.rad2 == other.rad2
-                and self.rad3 == other.rad3 and self.pi_half == other.pi_half
-                and self.gamma_arg == other.gamma_arg)
-
-    def __hash__(self) -> int:
-        return hash((self.coeff, self.rad2, self.rad3, self.pi_half,
-                     self.gamma_arg))
+        return SymConst(*self._astuple())
 
     def to_float(self, dps: int = DEFAULT_DPS):
         if self.gamma_arg is not None:
@@ -404,10 +420,6 @@ class SymConst:
         if len(den_tokens) > 1:
             den_str = f"({den_str})"
         return f"{sign}{num_str}/{den_str}"
-
-    def __repr__(self) -> str:
-        return (f"SymConst({self.coeff!r}, rad2={self.rad2}, rad3={self.rad3},"
-                f" pi_half={self.pi_half}, gamma_arg={self.gamma_arg!r})")
 
 
 def gamma_half_integer(q) -> SymConst:

@@ -26,49 +26,14 @@ import warnings
 from fractions import Fraction
 from math import comb, factorial, perm, prod
 
-from .exactnum import DEFAULT_DPS, _mpf_ratio, _nstr, round_sum
+from .exactnum import (DEFAULT_DPS, _check_dps, _mpf_ratio, _nstr, _Record,
+                       round_sum)
 from .sequences import V, Table
 from .transseries import _row
 
 
 class PrecisionWarning(UserWarning):
     """Fewer than 30 digits of the input's precision survive the weights."""
-
-
-class _Record:
-    """Immutable record: fields set once, in ``__slots__`` order, equal and
-    hashed by value, shown as Name(field=value, ...)."""
-
-    __slots__ = ()
-
-    def __init__(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __reduce__(self):
-        return self.__class__, self._astuple()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
 
 
 class FloatSeq(_Record):
@@ -233,6 +198,7 @@ def probe_richardson(which: str, order: int, n: int,
                      dps: int = DEFAULT_DPS) -> RichardsonResult:
     """Order-``order`` transform of the probe ``which`` ("s", "r" or
     "sminus1") at n."""
+    _check_dps(dps)
     return RichardsonResult(order, n, round_sum(_parts(which, order, n), dps))
 
 
@@ -267,8 +233,7 @@ def matched_digits(value, target, dps: int) -> int:
     k = 1 - c for the least integer c with 2 rel <= 10^c, rel the dyadic
     |value/target - 1| at dps digits, found by exact integer comparison.
     """
-    if dps < 1:
-        raise ValueError("dps must be >= 1")
+    _check_dps(dps)
     import mpmath
     with mpmath.workdps(dps):
         rel = abs(mpmath.mpf(value) / mpmath.mpf(target) - 1)
@@ -321,8 +286,7 @@ def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
         raise ValueError("n_max must be >= 1")
     if not orders or min(orders) < 0:
         raise ValueError(f"orders must be one or more integers >= 0: {orders}")
-    if dps < 1:
-        raise ValueError("dps must be >= 1")
+    _check_dps(dps)
     # zip stops at n_max: entries past it may be growing in another thread
     columns = [_rows(which, N, dps).grown(n_max - 1) for N in orders]
     return list(zip(range(1, n_max + 1), *columns))

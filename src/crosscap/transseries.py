@@ -30,6 +30,7 @@ w = -v_plus v_minus and v_minus = nu - w vhat_0, and then every k holds.
 
 from __future__ import annotations
 
+from functools import partial
 from math import factorial
 
 from .exactnum import QF3
@@ -176,13 +177,20 @@ def _binomial_dot(xs: list[int], ys: list[int], n: int, top: int) -> int:
                    reversed(ys[n - top: n + 1])))
 
 
-def _extend_row(big: list[int], lower: list[int], big_omega: list[int],
-                n: int) -> None:
+def _extend_row(k: int, big: list[int], n: int) -> None:
     """Grow the integers W_{m,k} = 40^m m! 2^(k-1) sqrt3^(m+k-1) v_{m,k} of
-    a row k >= 2 in place through index n from those of row k-1, ``lower``
-    (S_m for k = 2): vhat_k = vhat_{k-1} w reads
-    W_{m,k} = sum_{l<=m} C(m,l) W_{l,k-1} Omega_{m-l}.
+    a row k >= 2 in place through index n from those of row k-1 (S_m for
+    k = 2), grown first: vhat_k = vhat_{k-1} w reads
+    W_{m,k} = sum_{l<=m} C(m,l) W_{l,k-1} Omega_{m-l}.  No row is longer
+    than the one below it, so the short rows below k are a run just below
+    it, grown here lowest first: no grow nests another.
     """
+    low = k - 1
+    while low > 1 and len(ROWS[low].ints) <= n:
+        low -= 1
+    for row in ROWS[low:k]:
+        row.grown(n)
+    lower, big_omega = ROWS[k - 1].ints, OMEGA.grown(n)
     for m in range(len(big), n + 1):
         big.append(_binomial_dot(lower, big_omega, m, m))
 
@@ -192,16 +200,13 @@ ROWS: list[Table] = [V, NU]
 
 
 def _row(k: int) -> Table:
-    """Row k of v_{n,k} as a table; row k >= 2, grown from row k-1 and
-    Omega, is made on first use."""
+    """Row k of v_{n,k} as a table; the rows k >= 2 are made on first use
+    and grown (``_extend_row``), both lowest first."""
     if len(ROWS) <= k:
-        _row(k - 1)
         with _EXTEND_LOCK:
-            if len(ROWS) == k:
-                ROWS.append(Table(
-                    lambda big, n: _extend_row(big, ROWS[k - 1].grown(n),
-                                               OMEGA.grown(n), n),
-                    lambda x, n: _from_scaled(x, _vk_den(n, k), n + k - 1)))
+            for j in range(len(ROWS), k + 1):
+                ROWS.append(Table(partial(_extend_row, j), lambda x, n, j=j:
+                                  _from_scaled(x, _vk_den(n, j), n + j - 1)))
     return ROWS[k]
 
 

@@ -1,4 +1,5 @@
 import functools
+import pickle
 import random
 import threading
 from fractions import Fraction
@@ -212,6 +213,20 @@ class TestSymConst:
                          rad2=rng.randint(-3, 3), rad3=rng.randint(-3, 3),
                          pi_half=rng.randint(-3, 3), gamma_arg=gamma_arg)
             assert c.normalized() == c
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeff=rationals, rad2=st.integers(-4, 4), rad3=st.integers(-4, 4),
+           pi_half=st.integers(-4, 4),
+           gamma_arg=st.one_of(st.none(), st.fractions(-20, 20,
+                                                      max_denominator=8)))
+    def test_pickle_rebuilds_through_normalization(self, coeff, rad2, rad3,
+                                                    pi_half, gamma_arg):
+        # __reduce__ passes the normalized fields back to the constructor,
+        # so the round trip holds because normalization is idempotent
+        assume(gamma_arg is None or gamma_arg.denominator > 1 or gamma_arg > 0)
+        c = SymConst(coeff, rad2, rad3, pi_half, gamma_arg)
+        clone = pickle.loads(pickle.dumps(c))
+        assert clone == c and hash(clone) == hash(c)
 
     @pytest.mark.parametrize("k", range(26))
     def test_half_integer_gamma_closed_form(self, k):

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap.exactnum import rational_to_float
+from crosscap.exactnum import QF3, SymConst, rational_to_float
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning,
                                     RichardsonResult, StokesEstimate, _weights,
                                     estimate_stokes, matched_digits,
@@ -327,6 +327,13 @@ RECORDS = [
                       "digits": 0, "transform": TRANSFORM},
      "StokesEstimate(value=mpf('0.5'), target=mpf('1.0'), digits=0, "
      "transform=RichardsonResult(order=2, index=5, value=mpf('0.5')))"),
+    (QF3, {"a": Fraction(1, 2), "b": Fraction(3)},
+     "QF3(a=Fraction(1, 2), b=Fraction(3, 1))"),
+    # already normalized, so its fields read back as given
+    (SymConst, {"coeff": Fraction(1, 3), "rad2": 1, "rad3": 1, "pi_half": 0,
+                "gamma_arg": Fraction(1, 4)},
+     "SymConst(coeff=Fraction(1, 3), rad2=1, rad3=1, pi_half=0, "
+     "gamma_arg=Fraction(1, 4))"),
 ]
 
 

@@ -52,7 +52,8 @@ from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
                                quadrangulation_counts, rp2_correlator_series,
                                x02_series)
-from crosscap.transseries import mu_seq, nu_seq, vk_table, vpm_series
+from crosscap.transseries import (mu_seq, nu_seq, seed_v0k, vk_table,
+                                  vpm_series)
 
 REF_N = 80
 MAX_ROW = 4
@@ -315,6 +316,22 @@ def test_stepwise_build_matches_reference(name, steps):
             assert BUILDERS[name](n) == ref[: n + 1], (name, n)
         top = max(steps)
         assert BUILDERS[name](top) == ref[: top + 1]
+
+
+def test_deep_sectors_build_without_nesting():
+    # a call nested per row would pass the recursion limit near k = 1000
+    ks = (1, 2, 3, 999, 1000, 1001, 1499, 1500)
+    with fresh_caches():
+        table = vk_table(3, 1500)
+        assert [table.value(0, k) for k in ks] == list(map(seed_v0k, ks))
+    with fresh_caches():
+        value = asym_vk(1500, 5, 4, 30)
+    with fresh_caches():
+        # every row made and grown through 2 first: the deep row's grow
+        # then grows the 1500 rows below it
+        vk_table(2, 1501)
+        assert asym_vk(1500, 5, 4, 30) == value
+        assert vk_table(5, 1501).row(1500)[:4] == table.row(1500)
 
 
 def test_rows_match_paper_recursion():
