@@ -66,17 +66,30 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+# The one zero every QF3 component defaults to.
+_ZERO = Fraction(0)
+
+
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+    # isinstance against Fraction, an ABC, is slow for an int
+    if type(x) is Fraction:
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _ZERO
+    if isinstance(x, Fraction):
+        return x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # exact -> float: one rounding
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _dps_to_prec(dps: int) -> int:
+    import mpmath
+    return mpmath.libmp.dps_to_prec(dps)
+
 
 @functools.lru_cache(maxsize=64)
 def _constant(c: int, a, b: int, prec: int) -> tuple:
@@ -111,23 +124,30 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
     exact = [(const, p, q) for const, (p, q) in parts if p]
     if not exact:
         return mpmath.mp.make_mpf(mpmath.libmp.fzero)
-    prec, extra = mpmath.libmp.dps_to_prec(dps), 64
+    prec, extra = _dps_to_prec(dps), 64
     while True:
         wp = prec + extra
-        terms = [(*_constant(*const, wp), p, q) for const, p, q in exact]
         # each part is below 2^(top + 1), and the largest at least 2^(top - 2)
-        top = max(man.bit_length() + exp + p.bit_length() - q.bit_length()
-                  for man, exp, p, q in terms)
+        terms, top = [], None
+        for const, p, q in exact:
+            man, exp = _constant(*const, wp)
+            terms.append((man, exp, p, q))
+            bits = man.bit_length() + exp + p.bit_length() - q.bit_length()
+            if top is None or bits > top:
+                top = bits
         low = top - wp - 4
-        total = sum((p * man << exp - low) // q if exp >= low
-                    else p * man // (q << low - exp)
-                    for man, exp, p, q in terms)
+        total = 0
+        for man, exp, p, q in terms:
+            total += ((p * man << exp - low) // q if exp >= low
+                      else p * man // (q << low - exp))
         # bits cancelled; a zero total lost them all (the exact sum of
         # nonzero parts is not 0)
         lost = wp + 4 - total.bit_length()
         if lost <= extra - 24:
-            return mpmath.mp.make_mpf(
-                mpmath.libmp.from_man_exp(total, low, prec, "n"))
+            # from_man_exp's rounding, with the bit count taken directly
+            man = mpmath.libmp.MPZ(abs(total))
+            return mpmath.mp.make_mpf(mpmath.libmp.normalize(
+                int(total < 0), man, low, man.bit_length(), prec, "n"))
         if extra == 64 and _sums_to_zero(exact):
             raise ValueError("the parts' constants are linearly dependent "
                              "over Q and the parts sum to exactly 0")
@@ -141,16 +161,23 @@ def _nstr(x, dps: int) -> str:
 
 
 def _sums_to_zero(exact) -> bool:
-    """Whether the (c pi^a sqrt(b), p, q) terms sum to exactly 0: each term
-    is collected on the first constant pi^a sqrt(b0) with b b0 a square,
-    as c p sqrt(b b0) / (q b0), and the groups are independent over Q."""
+    """Whether the (c pi^a sqrt(b), p, q) terms, p != 0, sum to exactly 0:
+    each term is collected on the first constant pi^a sqrt(b0) with b b0 a
+    square, as c p sqrt(b b0) / (q b0), and the groups are independent over
+    Q.  A group of one term is 0 only if its c is, so only groups of two or
+    more terms are summed, as Fractions."""
     groups: dict = {}
     for (c, a, b), p, q in exact:
         b0 = next((b0 for a0, b0 in groups
                    if a0 == a and isqrt(b * b0) ** 2 == b * b0), b)
-        groups[a, b0] = (groups.get((a, b0), 0)
-                         + Fraction(c * p * isqrt(b * b0), q * b0))
-    return not any(groups.values())
+        groups.setdefault((a, b0), []).append((c * isqrt(b * b0), p, q * b0))
+    for terms in groups.values():
+        if len(terms) == 1:
+            if terms[0][0]:
+                return False
+        elif sum(Fraction(c * p, q) for c, p, q in terms):
+            return False
+    return True
 
 
 def _mpf_ratio(x) -> tuple:
@@ -184,8 +211,10 @@ class QF3(_Record):
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a=0, b=0) -> None:
-        super().__init__(_as_fraction(a), _as_fraction(b))
+    def __init__(self, a=_ZERO, b=_ZERO) -> None:
+        # the two slots set directly: QF3s are made in the tables' hot loops
+        object.__setattr__(self, "a", _as_fraction(a))
+        object.__setattr__(self, "b", _as_fraction(b))
 
     @classmethod
     def _coerce(cls, x) -> "QF3 | None":

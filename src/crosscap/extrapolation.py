@@ -7,17 +7,20 @@ The probe sequences are
 
 and the N-th Richardson transform at n is the linear combination
 
-    s^(N)_n = (1/N!) sum_{k=0}^{N} (-1)^(k+N) C(N,k) (n+k)^N s_{n+k}.
+    s^(N)_n = (1/N!) sum_{k=0}^{N} (-1)^(k+N) C(N,k) (n+k)^N s_{n+k}
+            = (1/N!) Delta^N [m^N s_m] at m = n.
 
 By parity s_n = 2 pi sqrt3 q_n and r_n = sqrt2 pi (n q_n) - n with q_n
 rational, and the sequence behind S_-1 is 2 pi sqrt3 L_n - 3 sqrt6 B_n with
 L_n, B_n rational.  By linearity each transform is a few constants times
 exact rational transforms, combined and rounded once (``round_sum``).  Each
-rational transform is one integer sum over one denominator: the transforms
-of crosscap's own sequences sum the tables' stored integers by Horner's rule
-over the window's last entry of a denominator table (``_horner``,
-``_parts``), and ``richardson`` sums user float data exactly as given, each
-value p / 2^e over the window's largest 2^E.
+rational transform is one integer over the window's last entry of a
+denominator table.  The transforms of crosscap's own sequences build it
+from the tables' stored integers (``_probe`` describes each probe): a
+single window by Horner's rule (``_horner``, ``_parts``), a row's run of
+windows by N forward-difference passes over the whole run
+(``_run_parts``).  ``richardson`` sums user float data exactly as given,
+each value p / 2^e over the window's largest 2^E.
 """
 
 from __future__ import annotations
@@ -133,34 +136,72 @@ def _extend_braces(braces: list, n: int) -> None:
 _BRACES = Table(_extend_braces, lambda x, m: x)
 
 
-def _parts(which: str, order: int, n: int) -> list:
-    """The ``round_sum`` parts of the order-``order`` transform of the probe
-    ``which`` at n, which reads the stored integers of the window n..n+order
-    only.
+def _probe(which: str) -> tuple:
+    """The probe ``which`` as ``_parts`` and ``_run_parts`` read it: its
+    denominators' step and Table, the sign and extra power of m its
+    weights carry, and its (constant, integer Table) terms.
 
     By parity the probes are s_m = 2 pi sqrt3 q_m, r_m = sqrt2 pi m q_m - m
     and, behind S_-1, (-1)^m [2 pi sqrt3 L_m - 3 sqrt6 B_m], with
     q_m = R_m / d_m over ``_Q_DEN``, and L_m = W_{m,2} / d_m and
     B_m = X_m / d_m over ``_LEAD_DEN``, where
     B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)) and X_m are
-    the integers in ``_BRACES``.  The transform of m itself is
-    (N+1)(2n+N)/2.
+    the integers in ``_BRACES``.  r's term -m is the closed form
+    ``_m_part``.
     """
-    if which not in ("s", "r", "sminus1"):
-        raise ValueError(f"unknown probe {which!r}")
-    weights, top = _weights(order, n), n + order
-    if which == "sminus1":
-        weights = [(-1) ** m * w for m, w in enumerate(weights, n)]
-        big_w2, big_x = _row(2).grown(top), _BRACES.grown(top)
-        d = factorial(order) * _LEAD_DEN.grown(top)[top]
-        return [((2, 1, 3), (_horner(weights, big_w2, n, _lead_step), d)),
-                ((-3, 0, 6), (_horner(weights, big_x, n, _lead_step), d))]
-    big_v, d = V.grown(top), factorial(order) * _Q_DEN.grown(top)[top]
     if which == "s":
-        return [((2, 1, 3), (_horner(weights, big_v, n, _q_step), d))]
-    weights = [w * m for m, w in enumerate(weights, n)]
-    return [((1, 1, 2), (_horner(weights, big_v, n, _q_step), d)),
-            ((-1, 0, 1), ((order + 1) * (2 * n + order), 2))]
+        return _q_step, _Q_DEN, 1, 0, [((2, 1, 3), V)]
+    if which == "r":
+        return _q_step, _Q_DEN, 1, 1, [((1, 1, 2), V)]
+    if which == "sminus1":
+        return (_lead_step, _LEAD_DEN, -1, 0,
+                [((2, 1, 3), _row(2)), ((-3, 0, 6), _BRACES)])
+    raise ValueError(f"unknown probe {which!r}")
+
+
+def _m_part(order: int, n: int) -> tuple:
+    """-1 times the order-N transform of m itself, (N+1)(2n+N)/2."""
+    return (-1, 0, 1), ((order + 1) * (2 * n + order), 2)
+
+
+def _parts(which: str, order: int, n: int) -> list:
+    """The ``round_sum`` parts of the order-``order`` transform of the probe
+    ``which`` at n, one Horner sum per term over the window n..n+order
+    only: the kernel for a single window."""
+    step, den, sign, power, terms = _probe(which)
+    top = n + order
+    weights = [sign ** m * m ** power * w
+               for m, w in enumerate(_weights(order, n), n)]
+    d = factorial(order) * den.grown(top)[top]
+    parts = [(const, (_horner(weights, table.grown(top), n, step), d))
+             for const, table in terms]
+    return parts + [_m_part(order, n)] if which == "r" else parts
+
+
+def _run_parts(which: str, order: int, n0: int, n1: int):
+    """The ``_parts`` of every n in n0..n1, in order, by N = order forward
+    differences: the transform is Delta^N [m^N x_m] / N!.  Each term's run
+    x_m = X_m / d_m, m = n0..n1+N, is scaled to its integers (with the
+    weights' sign and power); pass p maps entry i to
+    a[i+1] - step(n0+i+p+1) a[i], so entry i ends as the same integer over
+    d_{n0+i+N} that ``_parts`` builds.  Cheaper than ``_parts`` per window
+    once a run is longer than about N/2; the parts are built as read."""
+    step, den, sign, power, terms = _probe(which)
+    top = n1 + order
+    steps = [step(m) for m in range(n0 + 1, top + 1)]
+    runs = []
+    for const, table in terms:
+        xs = table.grown(top)
+        a = [sign ** m * m ** (order + power) * xs[m]
+             for m in range(n0, top + 1)]
+        for p in range(order):
+            a = [hi - s * lo for hi, s, lo in zip(a[1:], steps[p:], a)]
+        runs.append((const, a))
+    dens, f = den.grown(top), factorial(order)
+    for i, n in enumerate(range(n0, n1 + 1)):
+        d = f * dens[n + order]
+        parts = [(const, (a[i], d)) for const, a in runs]
+        yield parts + [_m_part(order, n)] if which == "r" else parts
 
 
 # The rounded transforms behind convergence_rows and their plot text, one
@@ -175,8 +216,8 @@ def _rows(which: str, order: int, dps: int) -> Table:
     table = _TRANSFORM_ROWS.get((which, order, dps))
     if table is None:
         def grow(rows: list, n: int) -> None:
-            rows.extend(round_sum(_parts(which, order, m), dps)
-                        for m in range(len(rows) + 1, n + 2))
+            rows.extend(round_sum(parts, dps) for parts in
+                        _run_parts(which, order, len(rows) + 1, n + 1))
         table = _TRANSFORM_ROWS.setdefault(
             (which, order, dps), Table(grow, lambda x, m: _nstr(x, dps)))
     return table

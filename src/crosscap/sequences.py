@@ -20,7 +20,7 @@ import threading
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import QF3, SymConst
+from .exactnum import _ZERO, QF3, SymConst
 
 # Held while a cached table grows; see Table.
 _EXTEND_LOCK = threading.RLock()
@@ -80,7 +80,7 @@ def _from_scaled(num: int, den: int, e: int) -> QF3:
     """num / (den sqrt3^e): a rational for even e, a rational times sqrt3
     for odd e."""
     q = Fraction(num, den * 3 ** ((e + 1) // 2))
-    return QF3(q) if e % 2 == 0 else QF3(0, q)
+    return QF3(q) if e % 2 == 0 else QF3(_ZERO, q)
 
 
 def extend_u(big: list[int], n: int) -> None:

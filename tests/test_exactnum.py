@@ -3,6 +3,7 @@ import pickle
 import random
 import threading
 from fractions import Fraction
+from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
                           mpf_pos, mpf_shift)
 
+from crosscap import exactnum
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
                                SymConst, gamma_half_integer, rational_to_float,
                                round_sum)
+from crosscap.extrapolation import estimate_stokes
 from crosscap.sequences import p_of_g, t_of_g, u_seq, v_seq
 
 
@@ -378,3 +381,33 @@ def test_round_sum_rejects_dependent_parts_that_sum_to_zero():
     got = round_sum([((1, 0, 2), (3, 1)), ((1, 0, 18), (-1, 1)),
                      ((1, 0, 1), (1, 10 ** 300))], 30)
     assert got._mpf_ == from_rational(1, 10 ** 300, dps_to_prec(30), "n")
+
+
+def test_round_sum_cancelling_group_beside_a_nonzero_part():
+    # 3 sqrt2 - sqrt18 = 0 exactly and hides the far smaller pi sqrt3 part,
+    # so the first widening checks for 0, finds pi sqrt3's group nonzero
+    # and widens past the cancellation
+    tiny = ((1, 1, 3), (1, 2 ** 100))
+    for dps in (30, 200):
+        got = round_sum([((3, 0, 2), (1, 1)), ((-1, 0, 18), (1, 1)), tiny],
+                        dps)
+        assert got._mpf_ == round_sum([tiny], dps)._mpf_
+
+
+def test_round_sum_raises_when_every_group_cancels():
+    # sqrt12 = 2 sqrt3 at the same power of pi
+    with pytest.raises(ValueError):
+        round_sum([((3, 0, 2), (1, 1)), ((-1, 0, 18), (1, 1)),
+                   ((1, 1, 3), (1, 2)), ((-1, 1, 12), (1, 4))], 30)
+
+
+def test_parts_in_distinct_groups_build_no_fraction():
+    # sminus1's two parts, pi sqrt3 and sqrt6, cancel to the first widening,
+    # whose check for an exact 0 needs no Fraction for one-term groups
+    estimate_stokes("sminus1", 100, 10, 60)
+    with patch.object(exactnum, "_sums_to_zero",
+                      wraps=exactnum._sums_to_zero) as checked, \
+            patch.object(exactnum, "Fraction",
+                         side_effect=AssertionError("Fraction built")):
+        estimate_stokes("sminus1", 100, 10, 60)
+    assert checked.call_count >= 1

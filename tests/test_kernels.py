@@ -44,9 +44,9 @@ from crosscap import cli, extrapolation, sequences, specgeom, transseries
 from crosscap.asymptotics import asym_vk
 from crosscap.exactnum import QF3, round_sum
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
-                                    _parts, convergence_rows, estimate_stokes,
-                                    probe_richardson, r_seq, richardson,
-                                    s_seq)
+                                    _parts, _run_parts, convergence_rows,
+                                    estimate_stokes, probe_richardson, r_seq,
+                                    richardson, s_seq)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
@@ -691,6 +691,17 @@ def test_probe_closed_forms():
                 == Fraction((order + 1) * (2 * n + order), 2), (order, n)
 
 
+@pytest.mark.parametrize("which", ["s", "r", "sminus1"])
+def test_run_kernel_matches_window_kernel(which):
+    # every n in 1..300, in the runs a row grown to 40, then 97, then 300
+    # builds: the forward differences give the Horner sums' integers
+    for order in (0, 1, 5, 10, 30):
+        for n0, n1 in ((1, 40), (41, 97), (98, 300)):
+            assert list(_run_parts(which, order, n0, n1)) == \
+                [_parts(which, order, n) for n in range(n0, n1 + 1)], \
+                (order, n0, n1)
+
+
 # ---------------------------------------------------------------------------
 # cached transform rows
 # ---------------------------------------------------------------------------
@@ -898,6 +909,24 @@ def test_growing_plotdata_renders_only_the_new_values():
                           wraps=extrapolation._nstr) as counted:
             plot_request("firstcorr", 60, 60)
         assert counted.call_count == 3 * 20
+
+
+# SHA-256 of the README's two plotdata commands (default precision), as
+# printed when every transform was its own Horner sum
+README_PLOT_DIGESTS = {
+    "unorquot": "16a3fcbb3b17b3b27533857bd591b2f5357b7c17a18447d3ec1ac78d73a45edd",
+    "firstcorr": "2de211b5aae141d54b97fd9c942ae7c3c21c6606173a8f5a7f761c58eef303ef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_PLOT_DIGESTS))
+def test_readme_plotdata_bytes_unchanged(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["plotdata", name, "--nmax", "250",
+                        "--format", "csv"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        README_PLOT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("argv", [["--nmax", "0"],
