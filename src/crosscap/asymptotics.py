@@ -8,26 +8,24 @@ M_l = 320^l l! sqrt3^l mu_l and W_{l,k} the integers of row k (S_l at k = 1),
     (2 sqrt3)^(k-1) sum v_{l,k} (+-A/2)^l / prod_{m<=l} (n-m)
                                            =  sum W_{l,k} / prod (+-50 m (n-m)).
 
-The Gamma factors are exact factorials or half-integer closed forms, with
-(A/2)^(-n) Gamma(n) = 5^n (n-1)! / (4^n sqrt3^n), and the Stokes prefactors
-S/(2 pi i) fold in as a rational times sqrt30/pi or sqrt6/pi.  So each value
-is one rational times a power of sqrt3, split by parity and rounded once
+The Gamma factors are factorials: Gamma(2n-1/2) / sqrt(pi) = (4n-2)! /
+(4^(2n-1) (2n-1)!) and (A/2)^(-n) Gamma(n) = 5^n (n-1)! / (4^n sqrt3^n).
+With the Stokes prefactors S/(2 pi i) folded in, each value is one integer
+over another times sqrt30/pi, sqrt6/pi or sqrt18/pi, rounded once
 (``exactnum.round_sum``); all values returned are real.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
-from .exactnum import (DEFAULT_DPS, QF3, _check_dps, _mpf_ratio,
-                       gamma_half_integer, round_sum)
+from .exactnum import (DEFAULT_DPS, QF3, SQRT3, _check_dps, _mpf_ratio,
+                       round_sum)
 from .extrapolation import _brace
-from .sequences import _from_scaled
 from .transseries import MU, _row
 
-INSTANTON_ACTION = QF3(0, Fraction(8, 5))   # A = 8 sqrt3 / 5
-HALF_ACTION = QF3(0, Fraction(4, 5))        # A/2, the v-sector eigenvalue
+INSTANTON_ACTION = 8 * SQRT3 / 5   # A = 8 sqrt3 / 5
+HALF_ACTION = 4 * SQRT3 / 5        # A/2, the v-sector eigenvalue
 
 
 def asym_u(n: int, L: int, dps: int = DEFAULT_DPS):
@@ -35,27 +33,27 @@ def asym_u(n: int, L: int, dps: int = DEFAULT_DPS):
 
     A^(-2n+1/2) Gamma(2n-1/2) (S/2pi i) {1 + sum mu_l A^l / prod (2n-1/2-m)},
 
-    with S/(2 pi i) = -3^(1/4) / (2 pi^(3/2)).  As A^2 = 192/25,
-    A^(1/2) 3^(1/4) = 2 sqrt30 / 5 and Gamma(2n-1/2) = g sqrt(pi) with g
-    rational, this is -(25/192)^n (g/5) {...} sqrt30/pi.
+    with S/(2 pi i) = -3^(1/4) / (2 pi^(3/2)).  As A^2 = 192/25 and
+    A^(1/2) 3^(1/4) = 2 sqrt30 / 5, this is, with Gamma(2n-1/2) as above,
+    -5^(2n-1) (4n-2)! / (192^n 4^(2n-1) (2n-1)!) {...} sqrt30/pi.
     """
     _check_dps(dps)
     if n < 1:
         raise ValueError("n must be >= 1")
     if L < 0:
         raise ValueError("L must be >= 0")
-    brace = _brace(MU.grown(L), L, lambda m: 100 * m * (4 * n - 1 - 2 * m))
-    g = gamma_half_integer(Fraction(4 * n - 1, 2)).coeff
-    exact = Fraction(25, 192) ** n * g / 5 * brace
-    return round_sum([((-1, -1, 30), exact.as_integer_ratio())], dps)
+    p, q = _brace(MU.grown(L), L, lambda m: 100 * m * (4 * n - 1 - 2 * m))
+    p *= 5 ** (2 * n - 1) * perm(4 * n - 2, 2 * n - 1)
+    return round_sum([((-1, -1, 30), (p, 192 ** n * q << 4 * n - 2))], dps)
 
 
-def _times_sqrt6_over_pi(z: Fraction, k: int, n: int,
-                         dps: int):
-    """(A/2)^(-n) Gamma(n) z / (2 (2 sqrt3)^k) sqrt6/pi, rounded once."""
-    exact = _from_scaled(5 ** n * factorial(n - 1) * z.numerator,
-                         z.denominator << (2 * n + k + 1), n + k)
-    return round_sum(exact.parts(1, -1, 6), dps)
+def _times_sqrt6_over_pi(p: int, q: int, k: int, n: int, dps: int):
+    """(A/2)^(-n) Gamma(n) (p/q) / (2 (2 sqrt3)^k) sqrt6/pi, rounded once;
+    an odd sqrt3^-(n+k) is sqrt3 / 3^((n+k+1)/2), giving sqrt18/pi."""
+    e = n + k
+    return round_sum([((1, -1, 18 if e % 2 else 6),
+                       (5 ** n * factorial(n - 1) * p,
+                        q * 3 ** ((e + 1) // 2) << 2 * n + k + 1))], dps)
 
 
 def asym_v(n: int, L: int, dps: int = DEFAULT_DPS):
@@ -77,7 +75,7 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS):
     -sqrt6/(24 pi); the second term is absent for k <= 1 (rows below k = 0
     are zero, and the k-1 factor kills k = 1).  In the braces' scale the two
     braces F and B, of rows k+1 and k-1, combine as (k+1) F - (-1)^n (k-1) B
-    over 2 (2 sqrt3)^k.
+    over 2 (2 sqrt3)^k, B's denominator (-1)^L F's (its steps negated).
     """
     _check_dps(dps)
     if k < 0:
@@ -88,11 +86,12 @@ def asym_vk(k: int, n: int, L: int, dps: int = DEFAULT_DPS):
         raise ValueError("L must be >= 0")
     if L >= n:
         raise ValueError("L must be < n (the product prod(n-m) hits zero)")
-    z = (k + 1) * _brace(_row(k + 1).grown(L), L, lambda m: 50 * m * (n - m))
+    p, q = _brace(_row(k + 1).grown(L), L, lambda m: 50 * m * (n - m))
+    p *= k + 1
     if k >= 2:
-        z -= (-1) ** n * (k - 1) * _brace(_row(k - 1).grown(L), L,
-                                          lambda m: -50 * m * (n - m))
-    return _times_sqrt6_over_pi(z, k, n, dps)
+        back, _ = _brace(_row(k - 1).grown(L), L, lambda m: -50 * m * (n - m))
+        p -= (-1) ** (n + L) * (k - 1) * back
+    return _times_sqrt6_over_pi(p, q, k, n, dps)
 
 
 def relative_error(approx, exact, dps: int = DEFAULT_DPS):

@@ -14,8 +14,8 @@ By parity s_n = 2 pi sqrt3 q_n and r_n = sqrt2 pi (n q_n) - n with q_n
 rational, and the sequence behind S_-1 is 2 pi sqrt3 L_n - 3 sqrt6 B_n with
 L_n, B_n rational.  By linearity each transform is a few constants times
 exact rational transforms, combined and rounded once (``round_sum``).  Each
-rational transform is one integer over the window's last entry of a
-denominator table.  The transforms of crosscap's own sequences build it
+rational transform is one integer over the closed-form denominator of the
+window's last entry.  The transforms of crosscap's own sequences build it
 from the tables' stored integers (``_probe`` describes each probe): a
 single window by Horner's rule (``_horner``, ``_parts``), a row's run of
 windows by N forward-difference passes over the whole run
@@ -26,7 +26,6 @@ each value p / 2^e over the window's largest 2^E.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from math import comb, factorial, perm, prod
 
 from .exactnum import (DEFAULT_DPS, _check_dps, _mpf_ratio, _nstr, _Record,
@@ -85,37 +84,32 @@ def _horner(weights: list[int], xs: list[int], n: int, step) -> int:
     return acc
 
 
+def _q_den(m: int) -> int:
+    """q's denominator d_m = 10^m (m-1)!, m >= 1."""
+    return 10 ** m * factorial(m - 1)
+
+
 def _q_step(m: int) -> int:
-    """d_m / d_{m-1} for q's denominators d_m = 10^m (m-1)!."""
+    """d_m / d_{m-1} for q's denominators."""
     return 10 * (m - 1)
 
 
+def _lead_den(m: int) -> int:
+    """The S_-1 lead's denominator d_m = 6 50^m m! (m-1)!, m >= 1."""
+    return 6 * 50 ** m * factorial(m) * factorial(m - 1)
+
+
 def _lead_step(m: int) -> int:
-    """d_m / d_{m-1} for the S_-1 lead's d_m = 6 50^m m! (m-1)!."""
+    """d_m / d_{m-1} for the S_-1 lead's denominators."""
     return 50 * m * (m - 1)
 
 
-def _brace(big: list[int], top: int, step) -> Fraction:
-    """sum_{l <= top} big[l] / (step(1) ... step(l)) exactly: one Horner sum
-    over step(1) ... step(top).  Every expansion brace has this form on the
-    stored integers (``asymptotics``), and so has the S_-1 probe's B_m."""
-    return Fraction(_horner([1] * (top + 1), big, 0, step),
-                    prod(map(step, range(1, top + 1))))
-
-
-def _extend_den(dens: list, n: int, step, first: int) -> None:
-    """Grow the window denominators d_m = step(m) d_{m-1} in place through
-    m = n, with d_1 = first.  d_0 is a placeholder: the probes start at 1."""
-    if not dens:
-        dens += [0, first]
-    for m in range(len(dens), n + 1):
-        dens.append(step(m) * dens[m - 1])
-
-
-_Q_DEN = Table(lambda dens, n: _extend_den(dens, n, _q_step, 10),
-               lambda x, m: x)
-_LEAD_DEN = Table(lambda dens, n: _extend_den(dens, n, _lead_step, 300),
-                  lambda x, m: x)
+def _brace(big: list[int], top: int, step) -> tuple[int, int]:
+    """sum_{l <= top} big[l] / (step(1) ... step(l)) exactly, as two integers:
+    one Horner sum and step(1) ... step(top).  Every expansion brace has this
+    form on the stored integers (``asymptotics``), and so has S_-1's B_m."""
+    return (_horner([1] * (top + 1), big, 0, step),
+            prod(map(step, range(1, top + 1))))
 
 
 def _extend_braces(braces: list, n: int) -> None:
@@ -138,23 +132,23 @@ _BRACES = Table(_extend_braces, lambda x, m: x)
 
 def _probe(which: str) -> tuple:
     """The probe ``which`` as ``_parts`` and ``_run_parts`` read it: its
-    denominators' step and Table, the sign and extra power of m its
+    denominators' step and closed form, the sign and extra power of m its
     weights carry, and its (constant, integer Table) terms.
 
     By parity the probes are s_m = 2 pi sqrt3 q_m, r_m = sqrt2 pi m q_m - m
     and, behind S_-1, (-1)^m [2 pi sqrt3 L_m - 3 sqrt6 B_m], with
-    q_m = R_m / d_m over ``_Q_DEN``, and L_m = W_{m,2} / d_m and
-    B_m = X_m / d_m over ``_LEAD_DEN``, where
+    q_m = R_m / d_m over ``_q_den``, and L_m = W_{m,2} / d_m and
+    B_m = X_m / d_m over ``_lead_den``, where
     B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)) and X_m are
     the integers in ``_BRACES``.  r's term -m is the closed form
     ``_m_part``.
     """
     if which == "s":
-        return _q_step, _Q_DEN, 1, 0, [((2, 1, 3), V)]
+        return _q_step, _q_den, 1, 0, [((2, 1, 3), V)]
     if which == "r":
-        return _q_step, _Q_DEN, 1, 1, [((1, 1, 2), V)]
+        return _q_step, _q_den, 1, 1, [((1, 1, 2), V)]
     if which == "sminus1":
-        return (_lead_step, _LEAD_DEN, -1, 0,
+        return (_lead_step, _lead_den, -1, 0,
                 [((2, 1, 3), _row(2)), ((-3, 0, 6), _BRACES)])
     raise ValueError(f"unknown probe {which!r}")
 
@@ -172,7 +166,7 @@ def _parts(which: str, order: int, n: int) -> list:
     top = n + order
     weights = [sign ** m * m ** power * w
                for m, w in enumerate(_weights(order, n), n)]
-    d = factorial(order) * den.grown(top)[top]
+    d = factorial(order) * den(top)
     parts = [(const, (_horner(weights, table.grown(top), n, step), d))
              for const, table in terms]
     return parts + [_m_part(order, n)] if which == "r" else parts
@@ -184,8 +178,8 @@ def _run_parts(which: str, order: int, n0: int, n1: int):
     x_m = X_m / d_m, m = n0..n1+N, is scaled to its integers (with the
     weights' sign and power); pass p maps entry i to
     a[i+1] - step(n0+i+p+1) a[i], so entry i ends as the same integer over
-    d_{n0+i+N} that ``_parts`` builds.  Cheaper than ``_parts`` per window
-    once a run is longer than about N/2; the parts are built as read."""
+    d_{n0+i+N} that ``_parts`` builds, stepped from d_{n0+N}.  Cheaper than
+    ``_parts`` per window once a run passes about N/2; built as read."""
     step, den, sign, power, terms = _probe(which)
     top = n1 + order
     steps = [step(m) for m in range(n0 + 1, top + 1)]
@@ -197,9 +191,10 @@ def _run_parts(which: str, order: int, n0: int, n1: int):
         for p in range(order):
             a = [hi - s * lo for hi, s, lo in zip(a[1:], steps[p:], a)]
         runs.append((const, a))
-    dens, f = den.grown(top), factorial(order)
+    d = factorial(order) * den(n0 + order)
     for i, n in enumerate(range(n0, n1 + 1)):
-        d = f * dens[n + order]
+        if i:
+            d *= steps[order + i - 1]
         parts = [(const, (a[i], d)) for const, a in runs]
         yield parts + [_m_part(order, n)] if which == "r" else parts
 

@@ -268,8 +268,8 @@ def test_row_brace_is_the_qf3_sum(k):
                     power = power * (sign * HALF_ACTION)
                     denom *= n - L
                 acc = acc + row[L] * power / denom
-                brace = _brace(transseries.ROWS[k].ints, L,
-                               lambda m: sign * 50 * m * (n - m))
+                brace = Fraction(*_brace(transseries.ROWS[k].ints, L,
+                                         lambda m: sign * 50 * m * (n - m)))
                 assert scale * acc == brace, (sign, n, L)
 
 
@@ -279,6 +279,6 @@ def test_sminus1_brace_is_the_qf3_sum():
     row3 = vk_table(60, 3).row(3)
     for m in range(1, 121):
         plain = ref_brace(row3, HALF_ACTION, m // 2, lambda l: Fraction(m - l))
-        brace = _brace(transseries.ROWS[3].ints, m // 2,
-                       lambda l: 50 * l * (m - l))
+        brace = Fraction(*_brace(transseries.ROWS[3].ints, m // 2,
+                                 lambda l: 50 * l * (m - l)))
         assert plain == brace / 12, m

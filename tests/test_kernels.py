@@ -34,17 +34,18 @@ from fractions import Fraction
 from functools import cache
 from unittest.mock import patch
 
-from math import comb, factorial, isqrt, lcm
+from math import comb, factorial, isqrt, lcm, perm
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crosscap import cli, extrapolation, sequences, specgeom, transseries
-from crosscap.asymptotics import asym_vk
-from crosscap.exactnum import QF3, round_sum
+from crosscap.asymptotics import asym_u, asym_v, asym_vk
+from crosscap.exactnum import QF3, SymConst, gamma_half_integer, round_sum
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
-                                    _parts, _run_parts, convergence_rows,
+                                    _lead_den, _lead_step, _parts, _q_den,
+                                    _q_step, _run_parts, convergence_rows,
                                     estimate_stokes, probe_richardson, r_seq,
                                     richardson, s_seq)
 from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
@@ -702,6 +703,34 @@ def test_run_kernel_matches_window_kernel(which):
                 (order, n0, n1)
 
 
+def test_integers_from_the_tables_to_round_sum():
+    # the expansions and the transforms build no Fraction, QF3 or SymConst,
+    # tables included: every Gamma factor and window denominator is a
+    # closed form in integers
+    refused = AssertionError("an exact rational was built")
+    with fresh_caches(), ExitStack() as stack:
+        stack.enter_context(patch.object(Fraction, "__new__",
+                                         side_effect=refused))
+        for cls in (QF3, SymConst):
+            stack.enter_context(patch.object(cls, "__init__",
+                                             side_effect=refused))
+        asym_u(50, 5, 60)
+        asym_v(180, 6, 60)
+        asym_vk(3, 60, 5, 60)   # n + k odd: the sqrt18/pi constant
+        asym_vk(2, 61, 7, 60)
+        estimate_stokes("sprime", 40, 6, 60)
+        estimate_stokes("sminus1", 40, 6, 60)
+        probe_richardson("r", 5, 30, 60)
+        convergence_rows("sminus1", 50, (0, 1, 5), 60)
+    for m in range(2, 1101):
+        assert _q_den(m) == _q_den(m - 1) * _q_step(m), m
+        assert _lead_den(m) == _lead_den(m - 1) * _lead_step(m), m
+    # Gamma(2n - 1/2) / sqrt(pi), as asym_u reads it
+    for n in range(1, 301):
+        assert Fraction(perm(4 * n - 2, 2 * n - 1), 4 ** (2 * n - 1)) \
+            == gamma_half_integer(Fraction(4 * n - 1, 2)).coeff, n
+
+
 # ---------------------------------------------------------------------------
 # cached transform rows
 # ---------------------------------------------------------------------------
@@ -809,7 +838,8 @@ def test_braces_are_the_row3_brace():
         # X_m = d_m B_m over the lead's d_m; X_0 is a placeholder
         for m in range(1, 261):
             assert braces[m] == 6 * 50 ** m * factorial(m) * factorial(m - 1) \
-                * _brace(big_w3, m // 2, lambda l: 50 * l * (m - l)) / 12, m
+                * Fraction(*_brace(big_w3, m // 2,
+                                   lambda l: 50 * l * (m - l))) / 12, m
 
 
 def test_second_sminus1_estimate_builds_no_brace():

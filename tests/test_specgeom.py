@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap.exactnum import SymConst
+from crosscap.exactnum import SymConst, round_sum
 from crosscap.extrapolation import matched_digits
 from crosscap.sequences import p_of_g
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
@@ -21,6 +22,54 @@ def certificate(z, c, dz=False):
     """P(z, c), or its z-derivative P_z(z, c) when dz is true."""
     return sum(a * (j * z ** (j - 1) if dz else z ** j) * c ** k
                for k, row in CERTIFICATE.items() for j, a in row.items())
+
+
+def truncated_mul(f, g, n):
+    """The first n coefficients of the product of the series f and g."""
+    return [sum(f[i] * g[e - i] for i in range(e + 1)) for e in range(n)]
+
+
+def puiseux(a1, terms):
+    """a_0 .. a_{terms-1} of the branch C = sum a_k s^k of P(z, C) = 0 at
+    z = 1/12 - s^4/432, so s^4 = 36 (1 - 12z), from a_0 = 60 and a_1.
+
+    P(1/12, C) = (C - 60)^4 / 995328, so a_k first enters P at s^(k+3), as
+    4 a_1^3 a_k / 995328: each a_k solves that order with itself read as 0.
+    """
+    top = terms + 2
+    # sum_j A_kj z^j for each power k of C, a polynomial in s^4
+    z_rows = {k: [0] * (top + 1) for k in CERTIFICATE}
+    for k, row in CERTIFICATE.items():
+        for j, coeff in row.items():
+            for i in range(min(j, top // 4) + 1):
+                z_rows[k][4 * i] += (coeff * comb(j, i)
+                                     * Fraction(1, 12) ** (j - i)
+                                     * Fraction(-1, 432) ** i)
+    a = [Fraction(60), Fraction(a1)]
+    while len(a) < terms:
+        order = len(a) + 3
+        c = a + [0] * (order + 1 - len(a))
+        residue, c_pow = 0, [1] + [0] * order
+        for k in range(5):
+            if k:
+                c_pow = truncated_mul(c_pow, c, order + 1)
+            residue += sum(z_rows[k][i] * c_pow[order - i]
+                           for i in range(0, order + 1, 4))
+        a.append(-residue * 995328 / (4 * a1 ** 3))
+    return a
+
+
+def expansion(a, n, dps):
+    """[z^n] sum_k a_k s^k, rounded once: s^k = 6^(k/2) (1 - 12z)^(k/4) and
+    [z^n] (1 - 12z)^(k/4) = 12^n prod_{j<n} (j - k/4) / n!
+                          = 3^n prod_{j<n} (4j - k) / n!,
+    so the even k sum to a rational and the odd k to a rational times sqrt6."""
+    sums = [0, 0]
+    for k, a_k in enumerate(a):
+        sums[k % 2] += a_k * 6 ** (k // 2) * prod(4 * j - k for j in range(n))
+    scale = Fraction(3 ** n, factorial(n))
+    return round_sum([((1, 0, 1), (sums[0] * scale).as_integer_ratio()),
+                      ((1, 0, 6), (sums[1] * scale).as_integer_ratio())], dps)
 
 
 class TestAlpha2:
@@ -146,6 +195,29 @@ class TestLeadingConstant:
             exact = -4 * mpmath.sqrt(6) / mpmath.gamma(mpmath.mpf(-1) / 4)
         # measured: |fitted / exact - 1| = 2.9e-17
         assert matched_digits(fitted, exact, dps) == 17
+
+
+class TestPuiseuxExpansion:
+    """C's regular branch at z = 1/12 solved exactly in s = sqrt6 (1 -
+    12z)^(1/4), and its coefficients of z^n against the counts."""
+
+    def test_first_coefficients(self):
+        assert puiseux(-48, 7) == [60, -48, 12, -2, Fraction(11, 3),
+                                   Fraction(-21, 8), Fraction(2, 3)]
+
+    def test_expansion_matches_the_counts(self):
+        # measured: 7, 13 and 20 digits at n = 600 through s^11, s^24 and
+        # s^40; the counts' index n is the power of z
+        a = puiseux(-48, 41)
+        count = quadrangulation_counts(601)[600]
+        assert [matched_digits(expansion(a[:terms], 600, 40), count, 40)
+                for terms in (12, 25, 41)] == [7, 13, 20]
+
+    def test_other_real_branch_counts_negative(self):
+        # a_1 = +48 is C(-s): its odd terms, the sqrt6 part, change sign
+        a = puiseux(48, 12)
+        assert a == [(-1) ** k * x for k, x in enumerate(puiseux(-48, 12))]
+        assert all(expansion(a, n, 30) < 0 for n in (1, 10, 100, 600))
 
 
 @pytest.mark.parametrize("build", [alpha2_series, x02_series,
