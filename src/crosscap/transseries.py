@@ -16,9 +16,10 @@ are geometric: with vhat_k = sum_{n>=0} v_{n,k} x^-n,
     vhat_k = nu w^(k-1),  k >= 1,
 
 for one series w with a first-order recursion (``_extend_omega``), so row
-k is row k-1 times w.  These recursions, and those of mu, nu and the pair
-below, run on scaled integers; each table is a ``Table``, and the rows
-form the list ``ROWS``, which ``_row`` extends.
+k >= 3 is row k-1 times w, and row 2 is read off w^2, each of its products
+taken once (``_extend_row``).  These recursions, and those of mu, nu and
+the pair below, run on scaled integers; each table is a ``Table``, and the
+rows form the list ``ROWS``, which ``_row`` extends.
 
 ``vpm_series`` gives the two formal power series v_plus, v_minus with
 
@@ -31,7 +32,8 @@ w = -v_plus v_minus and v_minus = nu - w vhat_0, and then every k holds.
 from __future__ import annotations
 
 from functools import partial
-from math import factorial
+from math import comb, factorial
+from operator import add, mul
 
 from .exactnum import QF3
 from .sequences import _EXTEND_LOCK, U, V, Table, _from_scaled
@@ -165,15 +167,21 @@ class VkTable:
         return list(self._rows[k])
 
 
-def _binomial_dot(xs: list[int], ys: list[int], n: int, top: int) -> int:
-    """sum_{i<=top} C(n,i) xs[i] ys[n-i]: the x^-n term of a product of two
-    series stored with n! in their scales."""
-    if top < 0:
-        return 0
-    binom = [1]
-    for i in range(top):
-        binom.append(binom[i] * (n - i) // (i + 1))
-    return sum(map(int.__mul__, map(int.__mul__, binom, xs[: top + 1]),
+def _binomial_rows(m0: int, n: int):
+    """(m, C(m, .)) for m = m0..n, each row of binomials from the one before
+    by Pascal's rule, so none is multiplied out."""
+    binom = [comb(m0, i) for i in range(m0 + 1)]
+    for m in range(m0, n + 1):
+        yield m, binom
+        binom = [1, *map(add, binom, binom[1:]), 1]
+
+
+def _binomial_dot(binom: list[int], xs: list[int], ys: list[int], n: int,
+                  top: int) -> int:
+    """sum_{i<=top} C(n,i) xs[i] ys[n-i] (0 for top < 0), ``binom`` holding
+    C(n, .): the x^-n term of a product of two series stored with n! in
+    their scales."""
+    return sum(map(mul, map(mul, binom[: top + 1], xs),
                    reversed(ys[n - top: n + 1])))
 
 
@@ -184,6 +192,19 @@ def _extend_row(k: int, big: list[int], n: int) -> None:
     W_{m,k} = sum_{l<=m} C(m,l) W_{l,k-1} Omega_{m-l}.  No row is longer
     than the one below it, so the short rows below k are a run just below
     it, grown here lowest first: no grow nests another.
+
+    Row 2 reads w^2 instead, each of its products taken once.  Omega's
+    recursion is nu = -2 sqrt3 w - (5/2) z theta w, with (z theta f)_m =
+    (m-1) f_{m-1}; as 2 w z theta w = z theta (w^2),
+
+        vhat_k = nu w^(k-1) = -2 sqrt3 w^k - (5/(2k)) z theta (w^k),
+
+    which, with P^(k)_m = 40^m m! 2^k sqrt3^(m+k) (w^k)_m the integers of
+    w^k, reads W_{m,k} = -(k P^(k)_m + 50 m (m-1) P^(k)_{m-1}) / k.  At k = 2
+    it is W_{m,2} = -P_m - 25 m (m-1) P_{m-1}, P_m = sum_l C(m,l) Omega_l
+    Omega_{m-l} being twice the sum over l < m/2 plus, for even m, the
+    middle term.  A grow resuming at m0 takes P_{m0-1} again, so only the
+    row is stored.
     """
     low = k - 1
     while low > 1 and len(ROWS[low].ints) <= n:
@@ -191,8 +212,19 @@ def _extend_row(k: int, big: list[int], n: int) -> None:
     for row in ROWS[low:k]:
         row.grown(n)
     lower, big_omega = ROWS[k - 1].ints, OMEGA.grown(n)
-    for m in range(len(big), n + 1):
-        big.append(_binomial_dot(lower, big_omega, m, m))
+    m0 = len(big)
+    if k > 2:
+        for m, binom in _binomial_rows(m0, n):
+            big.append(_binomial_dot(binom, lower, big_omega, m, m))
+        return
+    p_last = 0
+    for m, binom in _binomial_rows(max(m0 - 1, 0), n):
+        p = 2 * _binomial_dot(binom, big_omega, big_omega, m, (m - 1) // 2)
+        if m % 2 == 0:
+            p += binom[m // 2] * big_omega[m // 2] ** 2
+        if m >= m0:
+            big.append(-p - 25 * m * (m - 1) * p_last)
+        p_last = p
 
 
 # Row k of v_{n,k} is ROWS[k]: row 0 is v, row 1 is nu; see _row.
@@ -232,8 +264,9 @@ def _extend_minus(big: list[int], big_v: list[int], big_nu: list[int],
     """
     v_hat = [0, 0] + [5 ** j * factorial(j) * (big_v[j] >> 1)
                       for j in range(2, n + 1)]
-    for m in range(len(big), n + 1):
-        big.append(big_nu[m] - _binomial_dot(big_omega, v_hat, m, m - 2))
+    for m, binom in _binomial_rows(len(big), n):
+        big.append(big_nu[m] - _binomial_dot(binom, big_omega, v_hat, m,
+                                             m - 2))
 
 
 def _extend_plus(big: list[int], big_minus: list[int], big_omega: list[int],
@@ -242,8 +275,9 @@ def _extend_plus(big: list[int], big_minus: list[int], big_omega: list[int],
     in place through index n: v_plus v_minus = -w and Q_0 = 1 give
     P_m = -(Omega_m + sum_{i<m} C(m,i) P_i Q_{m-i}).
     """
-    for m in range(len(big), n + 1):
-        big.append(-big_omega[m] - _binomial_dot(big, big_minus, m, m - 1))
+    for m, binom in _binomial_rows(len(big), n):
+        big.append(-big_omega[m] - _binomial_dot(binom, big, big_minus, m,
+                                                 m - 1))
 
 
 MINUS = Table(lambda big, n: _extend_minus(big, V.grown(n), NU.grown(n),

@@ -193,6 +193,60 @@ def test_truncation_error_is_first_omitted_term(n):
             assert 0.5 < ratio < 2, (name, n, L, ratio)
 
 
+def smallest_term(big, top, step):
+    """(L*, |t_L*|) for the brace sum_{l<=top} t_l, t_l = big[l] /
+    (step(1) ... step(l)): its smallest term, relative to its first."""
+    best, den = (0, Fraction(1)), 1
+    for l in range(1, top + 1):
+        den *= step(l)
+        term = Fraction(abs(big[l]), den * abs(big[0]))
+        if term < best[1]:
+            best = (l, term)
+    return best
+
+
+def error_over_smallest_term(approx, exact, term, dps):
+    return relative_error(approx, exact, dps) * term.denominator \
+        / term.numerator
+
+
+def dps_for(term):
+    return (term.denominator.bit_length() - term.numerator.bit_length()) \
+        * 3 // 10 + 30
+
+
+# log2 of |relative error| / smallest term at L = L*, as measured over
+# every n in [40, 300]: for v_{n,k}, k = 0..5, -2.03 (k = 0, odd n) to
+# 4.48 (k = 5, n = 42); for u, -7.68 (n = 299; odd n fall as about 1/n) to
+# -1.002 (even n, rising to 1/2 from below).
+ALL_ORDERS_BAND = {"vk": (-3, 5), "u": (-8, -1)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(0, 5), n=st.integers(40, 300))
+def test_vk_optimal_truncation_error_is_smallest_term(k, n):
+    # the expansion of every sector, truncated at the forward brace's
+    # smallest term, misses v_{n,k} by about that term
+    L, term = smallest_term(transseries._row(k + 1).grown(n - 1), n - 1,
+                            lambda m: 50 * m * (n - m))
+    dps = dps_for(term)
+    ratio = error_over_smallest_term(asym_vk(k, n, L, dps),
+                                     vk_table(n, k).value(n, k), term, dps)
+    lo, hi = ALL_ORDERS_BAND["vk"]
+    assert 2 ** lo < ratio < 2 ** hi, (k, n, L, ratio)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(40, 300))
+def test_u_optimal_truncation_error_is_smallest_term(n):
+    L, term = smallest_term(transseries.MU.grown(2 * n - 1), 2 * n - 1,
+                            lambda m: 100 * m * (4 * n - 1 - 2 * m))
+    dps = dps_for(term)
+    ratio = error_over_smallest_term(asym_u(n, L, dps), u_seq(n)[n], term, dps)
+    lo, hi = ALL_ORDERS_BAND["u"]
+    assert 2 ** lo < ratio < 2 ** hi, (n, L, ratio)
+
+
 # ---------------------------------------------------------------------------
 # QF3 references: the braces summed term by term in Q(sqrt3)
 # ---------------------------------------------------------------------------

@@ -351,6 +351,66 @@ def test_rows_match_paper_recursion():
                 for n, x in enumerate(big)] == table.row(k), k
 
 
+def binomial_dot_ints(xs, ys, n, top):
+    """sum_{i<=top} C(n,i) xs[i] ys[n-i], each binomial multiplied out from
+    the one before: the convolution every row k >= 2 once took entry by
+    entry, before row 2 read w^2 and the binomials came by Pascal's rule."""
+    if top < 0:
+        return 0
+    binom = [1]
+    for i in range(top):
+        binom.append(binom[i] * (n - i) // (i + 1))
+    return sum(map(int.__mul__, map(int.__mul__, binom, xs[: top + 1]),
+                   reversed(ys[n - top: n + 1])))
+
+
+SPLIT_N = 300
+
+
+@cache
+def convolution_rows():
+    """The integers of rows 2..5 through SPLIT_N, row k as row k-1 times w."""
+    big_omega = transseries.OMEGA.grown(SPLIT_N)
+    rows = [transseries.NU.grown(SPLIT_N)]
+    for _ in range(2, 6):
+        rows.append([binomial_dot_ints(rows[-1], big_omega, m, m)
+                     for m in range(SPLIT_N + 1)])
+    return {k: rows[k - 1] for k in range(2, 6)}
+
+
+@settings(max_examples=8, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(2, 5), st.integers(0, SPLIT_N)),
+                      max_size=5))
+def test_rows_match_convolution_kernel(steps):
+    # any split of rows 2..5 into grows, each resuming where its row
+    # stopped (row 2 then takes P_{m0-1} again), gives the convolutions;
+    # nu and w stay built, the rows k >= 2 start empty
+    ref = convolution_rows()
+    with patch.object(transseries, "ROWS", [sequences.V, transseries.NU]):
+        for k, n in [*steps, (5, SPLIT_N)]:
+            transseries._row(k).grown(n)
+            for j, row in enumerate(transseries.ROWS[2:], 2):
+                assert row.ints == ref[j][: len(row.ints)], (k, n, j)
+        assert all(len(transseries.ROWS[k].ints) == SPLIT_N + 1
+                   for k in range(2, 6))
+
+
+def test_rows_are_nu_times_powers_of_w():
+    # vhat_k = nu w^(k-1) = -2 sqrt3 w^k - (5/(2k)) z theta (w^k): with P
+    # the integers of w^k, k W_{m,k} = -(k P_m + 50 m (m-1) P_{m-1}), the
+    # division by k exact; k = 1 is Omega's own recursion
+    top, big_omega = 250, transseries.OMEGA.grown(250)
+    power = big_omega
+    for k in range(1, 7):
+        if k > 1:
+            power = [binomial_dot_ints(power, big_omega, m, m)
+                     for m in range(top + 1)]
+        row = transseries._row(k).grown(top)
+        for m in range(top + 1):
+            num = k * power[m] + (50 * m * (m - 1) * power[m - 1] if m else 0)
+            assert num % k == 0 and row[m] == -(num // k), (k, m)
+
+
 # v_{n,k} is a rational times sqrt3 exactly when n+k is even; row 0 is v,
 # row 1 is nu, and mu alternates like nu.
 PARITY_K = {"v": 0, "nu": 1, "mu": 1, **{f"row{k}": k for k in range(2, MAX_ROW + 1)}}
