@@ -111,8 +111,12 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
     part becomes one integer, its value floored at a common binary exponent
     about wp bits below the largest part, wp being 64 bits past dps, again
     wider while the parts cancel more than 40 of them; the integers are
-    summed exactly and rounded once.  A part's integer depends only on the
-    value p/q, not on how it is written.
+    summed exactly and rounded once.  That exponent comes from the bit
+    lengths of p and q, not from the value p/q, so one value written two
+    ways (3/5 and 9/15) can be floored one exponent apart; the rounded sum
+    agrees unless the exact sum lies within about 2^-60 of a final-bit unit
+    of a rounding boundary (2^-27 at the most cancellation accepted, the
+    integer sum keeping at least 28 bits past the final precision).
 
     Constants with the same a and the same squarefree part of b are
     linearly dependent over Q, and their parts can sum to exactly 0, which

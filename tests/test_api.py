@@ -24,8 +24,11 @@ REMOVED = {
     extrapolation: ("_transform",),
     exactnum: ("const_pi", "const_sqrt2", "const_sqrt3", "const_sqrt6",
                "RationalLike", "sqrt_fraction"),
-    series: ("_field_inverse",),
-    Series: ("inverse", "sqrt", "__truediv__", "__rtruediv__"),
+    series: ("_field_inverse", "_is_scalar", "_over_qf3", "_scale",
+             "_convolve", "_unscale"),
+    Series: ("inverse", "sqrt", "__truediv__", "__rtruediv__", "from_terms",
+             "truncate", "shift", "_scalar_series", "__add__", "__radd__",
+             "__neg__", "__sub__", "__rsub__", "__mul__", "__rmul__"),
 }
 
 

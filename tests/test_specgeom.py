@@ -82,8 +82,11 @@ class TestAlpha2:
         # 24 lam alpha^2 + 1 = sqrt(1 + 48 lam), squared and over 48 lam
         order = 200
         a2 = alpha2_series(order)
-        residue = (a2 * a2).shift(1) * 12 + a2 - 1
-        assert residue.is_zero() and residue.order == order
+        assert (a2.low, a2.order) == (0, order)
+        a = a2.coefficients(0, order)
+        square = truncated_mul(a, a, order)
+        residue = [12 * s + c for s, c in zip([0] + square, a)]
+        assert residue == [1] + [0] * order
 
 
 class TestX02:
@@ -97,8 +100,10 @@ class TestX02:
         order = 12
         x02 = x02_series(order)
         a2 = alpha2_series(order)
-        residue = x02.shift(1) * (-4) - 1 - a2.shift(1) * 8
-        assert residue.is_zero() or all(c == 0 for c in residue.coeffs)
+        # -4 lam x0^2 - 1 - 8 lam alpha^2 through lam^(order + 1)
+        residue = [-4 * x - 8 * a for x, a in zip(x02.coefficients(-1, order),
+                                                   [0] + a2.coefficients(0, order))]
+        assert residue == [1] + [0] * (order + 1)
 
 
 class TestCorrelator:

@@ -1,29 +1,48 @@
 from fractions import Fraction
 from functools import cache
+from math import comb, factorial
 
 import pytest
 
 from crosscap.asymptotics import INSTANTON_ACTION
 from crosscap.exactnum import QF3, SQRT3
-from crosscap.sequences import u_seq, v_seq
-from crosscap.series import Series
-from crosscap.transseries import (mu_seq, nu_seq, seed_v0k, vk_table,
-                                  vpm_series)
+from crosscap.sequences import V, u_seq, v_seq
+from crosscap.transseries import (MINUS, PLUS, _row, mu_seq, nu_seq, seed_v0k,
+                                  vk_table, vpm_series)
 
 
 FACTORIZATION_ORDER = 200
 
 
+def bconv(f, g):
+    """sum_l C(m,l) f_l g_{m-l} for every m both lists reach: the product
+    of two series stored with m! in their scales."""
+    n = min(len(f), len(g))
+    return [sum(comb(m, l) * f[l] * g[m - l] for l in range(m + 1))
+            for m in range(n)]
+
+
 @cache
 def factorization_rhs(k):
-    """(-1)^(k-1) v_plus^(k-1) v_minus^k (1 - v_plus vhat_0), each k from
-    the one before it."""
-    plus, minus = vpm_series(FACTORIZATION_ORDER)
+    """(-1)^(k-1) v_plus^(k-1) v_minus^k (1 - v_plus vhat_0) through
+    x^-FACTORIZATION_ORDER, in row k's scaled integers
+    40^m m! 2^(k-1) sqrt3^(m+k-1), each k from the one before it.
+
+    v_plus and v_minus are read as their stored integers P and Q (Omega's
+    and nu's scales), and vhat_0 as X_j = 5^j j! R_j / 2 =
+    40^j j! sqrt3^(j-1) v_j / 2 for j >= 2, R the scaled v; so
+    1 - v_plus vhat_0 is delta_0 - bconv(P, X) in nu's scale, and
+    v_plus v_minus is bconv(P, Q) in Omega's."""
+    n = FACTORIZATION_ORDER
+    plus, minus = PLUS.grown(n)[: n + 1], MINUS.grown(n)[: n + 1]
     if k > 1:
-        return -factorization_rhs(k - 1) * (plus * minus)
-    zero = QF3(0)
-    vhat0 = Series([zero, zero] + v_seq(FACTORIZATION_ORDER)[2:], 0, zero)
-    return minus * (1 - plus * vhat0)
+        return [-x for x in bconv(factorization_rhs(k - 1),
+                                  bconv(plus, minus))]
+    v_hat = [0, 0] + [5 ** j * factorial(j) * big // 2
+                      for j, big in enumerate(V.grown(n)[2: n + 1], start=2)]
+    one_minus = [-x for x in bconv(plus, v_hat)]
+    one_minus[0] += 1
+    return bconv(minus, one_minus)
 
 
 def over_sqrt3(num, den):
@@ -164,7 +183,5 @@ class TestVpm:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_factorization_identity(self, k):
         # vhat_k = (-1)^(k-1) v_plus^(k-1) v_minus^k (1 - v_plus vhat_0)
-        rhs = factorization_rhs(k)
-        assert rhs.order == FACTORIZATION_ORDER
-        assert rhs.coefficients(0, FACTORIZATION_ORDER) \
-            == vk_table(FACTORIZATION_ORDER, k).row(k)
+        assert factorization_rhs(k) \
+            == _row(k).grown(FACTORIZATION_ORDER)[: FACTORIZATION_ORDER + 1]
