@@ -9,6 +9,25 @@ from crosscap.series import Series, SeriesError
 RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
 
 
+def test_truncation_bookkeeping():
+    f = Series([Fraction(1)] * 4, -1)     # exponents -1..2
+    g = Series([Fraction(0), Fraction(1), Fraction(1)], 0)  # exponents 1..2
+    assert (f.low, f.order) == (-1, 2)
+    assert (g.low, g.order) == (1, 2)
+    for s in (f, g):
+        with pytest.raises(SeriesError):
+            s.coefficient(s.order + 1)
+    assert f.coefficient(-5) == 0
+    assert g.coefficient(0) == 0
+
+
+def test_leading_zero_stripping():
+    f = Series([Fraction(0), Fraction(0), Fraction(3)], -1)
+    assert f.low == 1
+    assert f.coefficient(0) == 0
+    assert f.coefficient(1) == 3
+
+
 @st.composite
 def coefficient_lists(draw):
     """(coeffs, zero): 0..12 Fraction or QF3 coefficients, the first few of
