@@ -4,8 +4,7 @@ counting rooted maps on non-orientable surfaces."""
 __version__ = "0.1.0"
 
 from .exactnum import (DEFAULT_DPS, QF3, SQRT3, SymConst, GammaPoleError,
-                       SymbolicConstantError, gamma_half_integer,
-                       rational_to_float)
+                       SymbolicConstantError, rational_to_float)
 from .series import Series, SeriesError
 from .sequences import (intersection_number, p_of_g, t_of_g, u_seq, v_seq)
 from .transseries import (VkTable, mu_seq, nu_seq, seed_v0k, vk_table,
@@ -22,7 +21,7 @@ from .specgeom import (SpectralCurveError, alpha2_series,
 
 __all__ = [
     "DEFAULT_DPS", "QF3", "SQRT3", "SymConst", "GammaPoleError",
-    "SymbolicConstantError", "gamma_half_integer", "rational_to_float",
+    "SymbolicConstantError", "rational_to_float",
     "Series", "SeriesError",
     "u_seq", "v_seq", "t_of_g", "p_of_g", "intersection_number",
     "VkTable", "mu_seq", "nu_seq", "seed_v0k", "vk_table", "vpm_series",

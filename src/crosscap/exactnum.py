@@ -216,7 +216,8 @@ class QF3(_Record):
     __slots__ = ("a", "b")
 
     def __init__(self, a=_ZERO, b=_ZERO) -> None:
-        # the two slots set directly: QF3s are made in the tables' hot loops
+        # the two slots set directly, in half the time _Record.__init__
+        # takes: a QF3 is made once for each table value published
         object.__setattr__(self, "a", _as_fraction(a))
         object.__setattr__(self, "b", _as_fraction(b))
 
@@ -258,9 +259,6 @@ class QF3(_Record):
         return QF3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> "QF3":
-        return QF3(self.a, -self.b)
 
     def norm(self) -> Fraction:
         return self.a * self.a - 3 * self.b * self.b
@@ -316,9 +314,6 @@ class QF3(_Record):
 
     def to_float(self, dps: int = DEFAULT_DPS):
         return round_sum(self.parts(), dps)
-
-    def as_dict(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b)}
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -387,10 +382,6 @@ class SymConst(_Record):
 
         super().__init__(coeff, rad2, rad3, pi_half, gamma_arg)
 
-    def normalized(self) -> "SymConst":
-        """Re-run normalization (idempotence check hook)."""
-        return SymConst(*self._astuple())
-
     def to_float(self, dps: int = DEFAULT_DPS):
         if self.gamma_arg is not None:
             raise SymbolicConstantError(
@@ -398,15 +389,6 @@ class SymConst(_Record):
                 "evaluated numerically")
         const = (1, Fraction(self.pi_half, 2), 2 ** self.rad2 * 3 ** self.rad3)
         return round_sum([(const, self.coeff.as_integer_ratio())], dps)
-
-    def as_dict(self) -> dict:
-        return {
-            "coeff": str(self.coeff),
-            "rad2": self.rad2,
-            "rad3": self.rad3,
-            "piHalf": self.pi_half,
-            "gammaArg": None if self.gamma_arg is None else str(self.gamma_arg),
-        }
 
     def _pi_tokens(self, half: int) -> str:
         whole, rem = divmod(half, 2)
@@ -453,14 +435,3 @@ class SymConst(_Record):
         if len(den_tokens) > 1:
             den_str = f"({den_str})"
         return f"{sign}{num_str}/{den_str}"
-
-
-def gamma_half_integer(q) -> SymConst:
-    """Exact Gamma(q) for q = m + 1/2 or a positive integer, as a SymConst:
-    the inverse of 1/Gamma(q), which ``SymConst``'s normalization absorbs
-    into ``coeff`` and ``pi_half``."""
-    q = _as_fraction(q)
-    if q.denominator > 2:
-        raise ValueError(f"Gamma({q}) is not integer or half-integer")
-    s = SymConst(1, gamma_arg=q)
-    return SymConst(1 / s.coeff, pi_half=-s.pi_half)

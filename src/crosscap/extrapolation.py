@@ -58,6 +58,9 @@ class FloatSeq(_Record):
     def __len__(self) -> int:
         return len(self.values)
 
+    def __iter__(self):
+        return iter(self.values)
+
 
 class RichardsonResult(_Record):
     __slots__ = ("order", "index", "value")
@@ -250,12 +253,14 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
         raise ValueError(
             f"transform at n={n} needs entries {n}..{n + order}, "
             f"sequence covers {seq.start}..{seq.last}")
-    weights = _weights(order, n)
+    weights, scale = _weights(order, n), factorial(order)
     exact = [_mpf_ratio(seq[m]) for m in range(n, n + order + 1)]
     den = max(q for _, q in exact)
     total = sum(w * p * (den // q) for w, (p, q) in zip(weights, exact))
-    value = round_sum([((1, 0, 1), (total, den * factorial(order)))], seq.dps)
-    guard = seq.dps - len(str(sum(map(abs, weights)) // factorial(order)))
+    value = round_sum([((1, 0, 1), (total, den * scale))], seq.dps)
+    # digits lost: the least c >= 0 with sum |w| <= 10^c N!
+    bound = sum(map(abs, weights))
+    guard = seq.dps - (len(str((bound - 1) // scale)) if bound > scale else 0)
     if guard < 30:
         warnings.warn(
             f"only {guard} guard digits at dps={seq.dps} for order "
@@ -268,11 +273,15 @@ def matched_digits(value, target, dps: int) -> int:
 
     k = 1 - c for the least integer c with 2 rel <= 10^c, rel the dyadic
     |value/target - 1| at dps digits, found by exact integer comparison.
+    A target of 0 raises ``ZeroDivisionError``.
     """
     _check_dps(dps)
     import mpmath
     with mpmath.workdps(dps):
-        rel = abs(mpmath.mpf(value) / mpmath.mpf(target) - 1)
+        target = mpmath.mpf(target)
+        if not target:
+            raise ZeroDivisionError("matched digits against a target of 0")
+        rel = abs(mpmath.mpf(value) / target - 1)
     if rel == 0:
         return dps
     man, e = rel.man_exp

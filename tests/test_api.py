@@ -17,13 +17,15 @@ from crosscap.series import Series
 
 REMOVED = {
     crosscap: ("AsymParams", "const_pi", "const_sqrt2", "const_sqrt3",
-               "const_sqrt6", "TransseriesError"),
+               "const_sqrt6", "TransseriesError", "gamma_half_integer"),
     asymptotics: ("AsymParams", "gamma_exact_half"),
     cli: ("_PLOT_TEXT", "_plot_text"),
     transseries: ("TransseriesError",),
     extrapolation: ("_transform",),
     exactnum: ("const_pi", "const_sqrt2", "const_sqrt3", "const_sqrt6",
-               "RationalLike", "sqrt_fraction"),
+               "RationalLike", "sqrt_fraction", "gamma_half_integer"),
+    QF3: ("as_dict", "conjugate"),
+    SymConst: ("as_dict", "normalized"),
     series: ("_field_inverse", "_is_scalar", "_over_qf3", "_scale",
              "_convolve", "_unscale"),
     Series: ("inverse", "sqrt", "__truediv__", "__rtruediv__", "from_terms",

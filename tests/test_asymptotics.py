@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from crosscap import transseries
 from crosscap.asymptotics import (HALF_ACTION, INSTANTON_ACTION, asym_u,
                                   asym_v, asym_vk, relative_error)
-from crosscap.exactnum import QF3, SQRT3, gamma_half_integer, round_sum
+from crosscap.exactnum import QF3, SQRT3, SymConst, round_sum
 from crosscap.extrapolation import _brace
 from crosscap.sequences import u_seq, v_seq
 from crosscap.transseries import mu_seq, nu_seq, vk_table
@@ -52,6 +52,12 @@ class TestAsymU:
 def test_relative_error_rejects_special_values(special):
     with pytest.raises(ValueError, match="rational"):
         relative_error(mpmath.mpf(special), 3, 40)
+
+
+def test_relative_error_rejects_an_exact_zero():
+    for zero in (0, Fraction(0), QF3(0)):
+        with pytest.raises(ZeroDivisionError, match="exact 0"):
+            relative_error(mpmath.mpf(1), zero, 40)
 
 
 @pytest.mark.parametrize("approx", [2.0, 2])
@@ -140,6 +146,10 @@ class TestAsymVk:
             asym_vk(-1, 10, 0, DPS)
         with pytest.raises(ValueError):
             asym_vk(2, 10, 10, DPS)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            asym_vk(2, 0, 0, DPS)
+        with pytest.raises(ValueError, match="L must be >= 0"):
+            asym_vk(2, 10, -1, DPS)
 
 
 @settings(max_examples=15, deadline=None)
@@ -266,7 +276,8 @@ def ref_brace(coeffs, action_power, L, denom_step):
 def ref_asym_u(n, L, dps):
     brace = ref_brace(mu_seq(L), INSTANTON_ACTION, L,
                       lambda m: Fraction(4 * n - 1 - 2 * m, 2))
-    g = gamma_half_integer(Fraction(4 * n - 1, 2)).coeff
+    # Gamma(2n - 1/2) / sqrt(pi), the inverse of 1/Gamma's coefficient
+    g = 1 / SymConst(1, gamma_arg=Fraction(4 * n - 1, 2)).coeff
     return round_sum((brace * (Fraction(25, 192) ** n * g / 5)).parts(-1, -1, 30),
                      dps)
 

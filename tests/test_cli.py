@@ -12,8 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import crosscap
 from crosscap import cli
+from crosscap.asymptotics import asym_vk, relative_error
 from crosscap.cli import build_parser, run
+from crosscap.exactnum import _nstr
 from crosscap.extrapolation import probe_richardson
+from crosscap.transseries import vk_table
 
 
 def invoke(capsys, *argv):
@@ -122,6 +125,17 @@ def test_asym_cli(capsys):
     doc = json.loads(out)
     assert doc["precision"] == 40
     assert float(doc["values"]["rel_error"]) < 1e-4
+
+
+def test_asym_vk_cli(capsys):
+    code, out, _ = invoke(capsys, "asym", "vk", "--k", "2", "--n", "60",
+                          "--trunc", "3", "--prec", "60", "--format", "json")
+    assert code == 0
+    exact = vk_table(60, 2).value(60, 2)
+    approx = asym_vk(2, 60, 3, 60)
+    assert json.loads(out)["values"] == {
+        "exact": str(exact), "asym": _nstr(approx, 60),
+        "rel_error": _nstr(relative_error(approx, exact, 60), 10)}
 
 
 def test_plotdata_csv(capsys):

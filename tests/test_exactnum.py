@@ -13,8 +13,7 @@ from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
 
 from crosscap import exactnum
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
-                               SymConst, gamma_half_integer, rational_to_float,
-                               round_sum)
+                               SymConst, rational_to_float, round_sum)
 from crosscap.extrapolation import estimate_stokes
 from crosscap.sequences import p_of_g, t_of_g, u_seq, v_seq
 
@@ -111,15 +110,30 @@ class TestQF3:
     def test_mixed_scalars(self):
         assert QF3(0, 1) * Fraction(1, 2) == QF3(0, Fraction(1, 2))
         assert 2 + QF3(0, 1) == QF3(2, 1)
+        x = QF3(Fraction(1, 2), -3)
+        for r in (2, Fraction(-5, 7)):
+            assert r - x == QF3(r - x.a, -x.b) == -(x - r)
+            assert r + x == QF3(r + x.a, x.b) == x + r
+            assert r * x == QF3(r * x.a, r * x.b) == x * r
+            assert (r / x) * x == r and x / r == QF3(x.a / r, x.b / r)
+        for op in ("__add__", "__sub__", "__rsub__", "__mul__",
+                   "__truediv__", "__rtruediv__", "__pow__"):
+            assert getattr(x, op)(1.5) is NotImplemented, op
+        for op in (lambda: x + 1.5, lambda: 1.5 - x, lambda: x * 1.5,
+                   lambda: 1.5 / x, lambda: x ** 1.5, lambda: QF3(1.5)):
+            with pytest.raises(TypeError):
+                op()
+
+        class Ratio(Fraction):
+            pass
+        y = QF3(Ratio(1, 2), Ratio(-3))
+        assert y == x and type(y.a) is Ratio
 
     def test_str(self):
         assert str(QF3(0, -1)) == "-1√3"
         assert str(QF3(Fraction(1, 4))) == "1/4"
         assert str(QF3(0, Fraction(5, 48))) == "5/48√3"
         assert str(QF3(Fraction(1, 2), Fraction(-5, 48))) == "1/2-5/48√3"
-
-    def test_as_dict(self):
-        assert QF3(Fraction(1, 4), Fraction(-2, 3)).as_dict() == {"a": "1/4", "b": "-2/3"}
 
     def test_float_value(self):
         val = QF3(1, 1).to_float(50)
@@ -155,7 +169,8 @@ def test_qf3_field_laws(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    # the norm x x' (x' the conjugate) is multiplicative
+    assert (x * y).norm() == x.norm() * y.norm()
     assume(x)
     assert x * x.inverse() == 1
 
@@ -215,7 +230,8 @@ class TestSymConst:
             c = SymConst(Fraction(rng.randint(-40, 40), rng.randint(1, 40)),
                          rad2=rng.randint(-3, 3), rad3=rng.randint(-3, 3),
                          pi_half=rng.randint(-3, 3), gamma_arg=gamma_arg)
-            assert c.normalized() == c
+            assert SymConst(c.coeff, c.rad2, c.rad3, c.pi_half,
+                            c.gamma_arg) == c
 
     @settings(max_examples=200, deadline=None)
     @given(coeff=rationals, rad2=st.integers(-4, 4), rad3=st.integers(-4, 4),
@@ -233,20 +249,18 @@ class TestSymConst:
 
     @pytest.mark.parametrize("k", range(26))
     def test_half_integer_gamma_closed_form(self, k):
-        # Gamma(k + 1/2) = (2k-1)!! sqrt(pi) / 2^k, checked up to 51/2
-        val = gamma_half_integer(Fraction(2 * k + 1, 2))
+        # 1/Gamma(k + 1/2) = 2^k / ((2k-1)!! sqrt(pi)), checked up to 51/2
         dfact = 1
         for odd in range(1, 2 * k, 2):
             dfact *= odd
-        assert val == SymConst(Fraction(dfact, 2 ** k), pi_half=1)
+        assert SymConst(1, gamma_arg=Fraction(2 * k + 1, 2)) \
+            == SymConst(Fraction(2 ** k, dfact), pi_half=-1)
 
     def test_gamma_pole(self):
         with pytest.raises(GammaPoleError):
             SymConst(1, gamma_arg=0)
         with pytest.raises(GammaPoleError):
             SymConst(1, gamma_arg=-3)
-        with pytest.raises(GammaPoleError):
-            gamma_half_integer(0)
 
     def test_to_float_plain(self):
         val = SymConst(Fraction(1, 24)).to_float(50)
@@ -272,6 +286,14 @@ class TestSymConst:
         assert str(SymConst(2, pi_half=-1)) == "2/√π"
         assert str(SymConst(-2, rad2=1, rad3=1, gamma_arg=Fraction(-1, 4))) \
             == "-2√6/Γ(-1/4)"
+        assert str(SymConst(0)) == "0"
+        assert str(SymConst(3, rad2=1)) == "3√2"
+        assert str(SymConst(1, rad3=1, pi_half=2)) == "√3π"
+        assert str(SymConst(2, pi_half=4)) == "2π^2"
+        assert str(SymConst(Fraction(1, 2), pi_half=3)) == "π√π/2"
+        assert str(SymConst(Fraction(-5, 3), rad2=1, rad3=1, pi_half=-3,
+                            gamma_arg=Fraction(1, 3))) \
+            == "-5√6/(3π√πΓ(1/3))"
 
     @settings(max_examples=300, deadline=None)
     @given(coeff=st.fractions(-10 ** 20, 10 ** 20, max_denominator=10 ** 20),
@@ -299,12 +321,6 @@ class TestSymConst:
             coeff, arg = gamma_unit_steps(rational, Fraction(5 * n - 1, 4))
             assert p_of_g(n + 1) == SymConst(coeff, rad2=3 - n, rad3=rad3,
                                              gamma_arg=arg), n
-
-    def test_as_dict(self):
-        d = SymConst(Fraction(-5, 3), rad2=1, rad3=1,
-                     gamma_arg=Fraction(3, 4)).as_dict()
-        assert d == {"coeff": "-5/3", "rad2": 1, "rad3": 1, "piHalf": 0,
-                     "gammaArg": "3/4"}
 
 
 class TestFloatLayer:

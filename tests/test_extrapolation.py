@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import warnings
 from fractions import Fraction
 from math import factorial
 
@@ -46,6 +47,12 @@ class TestProbeSequences:
             seq[0]
         with pytest.raises(IndexError):
             seq[11]
+
+    def test_iterates_over_its_values(self):
+        seq = s_seq(5, 30)
+        assert list(seq) == [seq[n] for n in range(seq.start, seq.last + 1)]
+        assert len(seq) == len(list(seq)) == 5
+        assert all(seq[n] in seq for n in range(1, 6))
 
 
 class TestRichardson:
@@ -115,8 +122,15 @@ class TestRichardson:
 
     def test_precision_warning(self):
         seq = s_seq(80, 40)
-        with pytest.warns(PrecisionWarning):
+        with pytest.warns(PrecisionWarning, match="only 15 guard digits"):
             richardson(seq, 20, 60)
+
+    def test_identity_transform_loses_no_digit(self):
+        # order 0 has sum |w| = N! = 1: no digit lost, so no warning at 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            res = richardson(FloatSeq(1, (mpmath.mpf(2),), 30), 0, 1)
+        assert res.value == 2
 
     def test_precision_scaling(self):
         vals = {}
@@ -167,6 +181,10 @@ class TestMatchedDigits:
         with mpmath.workdps(30):
             x = mpmath.mpf(7) / 3
         assert matched_digits(x, x, 30) == 30
+
+    def test_zero_target_raises_with_a_message(self):
+        with pytest.raises(ZeroDivisionError, match="target of 0"):
+            matched_digits(mpmath.mpf(1), mpmath.mpf(0), 30)
 
 
 def log10_digits(value, target, dps: int) -> int:
@@ -260,6 +278,8 @@ class TestStokesEstimates:
     def test_unknown_constant(self):
         with pytest.raises(ValueError):
             estimate_stokes("sboth", 10, 2, 40)
+        with pytest.raises(ValueError, match="unknown probe 'x'"):
+            probe_richardson("x", 2, 10, 60)
 
 
 class TestSectionRows:

@@ -42,7 +42,7 @@ from hypothesis import given, settings, strategies as st
 
 from crosscap import cli, extrapolation, sequences, specgeom, transseries
 from crosscap.asymptotics import asym_u, asym_v, asym_vk
-from crosscap.exactnum import QF3, SymConst, gamma_half_integer, round_sum
+from crosscap.exactnum import QF3, SymConst, round_sum
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
                                     _lead_den, _lead_step, _parts, _q_den,
                                     _q_step, _run_parts, convergence_rows,
@@ -779,7 +779,7 @@ def test_integers_from_the_tables_to_round_sum():
     # Gamma(2n - 1/2) / sqrt(pi), as asym_u reads it
     for n in range(1, 301):
         assert Fraction(perm(4 * n - 2, 2 * n - 1), 4 ** (2 * n - 1)) \
-            == gamma_half_integer(Fraction(4 * n - 1, 2)).coeff, n
+            == 1 / SymConst(1, gamma_arg=Fraction(4 * n - 1, 2)).coeff, n
 
 
 # ---------------------------------------------------------------------------

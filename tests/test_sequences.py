@@ -115,6 +115,10 @@ class TestMapConstants:
         with pytest.raises(ValueError):
             p_of_g(0)
 
+    def test_t_rejects_negative(self):
+        with pytest.raises(ValueError):
+            t_of_g(-1)
+
 
 class TestIntersectionNumbers:
     def test_genus_two(self):

@@ -21,6 +21,14 @@ def test_truncation_bookkeeping():
     assert g.coefficient(0) == 0
 
 
+def test_str_repr_and_eq():
+    assert str(Series([Fraction(1, 2), 0, 3], -1)) \
+        == "(1/2)t^-1 + (3)t^1 + O(t^2)"
+    assert str(Series([0, 0], 0)) == "O(t^2)"
+    assert repr(Series([0, 0, 1], -2)) == "Series([1], low=0)"
+    assert Series([1], 0).__eq__([1]) is NotImplemented
+
+
 def test_leading_zero_stripping():
     f = Series([Fraction(0), Fraction(0), Fraction(3)], -1)
     assert f.low == 1

@@ -113,6 +113,12 @@ class TestVkTable:
         assert seed_v0k(2) == over_sqrt3(-1, 2)     # -(1/6) sqrt3
         assert seed_v0k(5) == QF3(Fraction(1, 144))
 
+    def test_rejects_out_of_domain(self):
+        for call in (lambda: seed_v0k(0), lambda: vk_table(-1, 0),
+                     lambda: vk_table(0, -1), lambda: vpm_series(0)):
+            with pytest.raises(ValueError):
+                call()
+
     def test_row_one_is_nu(self):
         table = vk_table(25, 3)
         assert table.row(1) == nu_seq(25)
