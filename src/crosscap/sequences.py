@@ -10,7 +10,8 @@ orientable-surface constants t_g, the non-orientable constants p_g, and the
 psi-class intersection numbers are exact one-liners.
 
 Both builders cache in a ``Table``: asking for N after M < N reuses the
-first M+1 entries.  The recursions run on the scaled integers
+first M+1 entries.  So do t_g and p_g, whose tables hold the ``SymConst``
+values themselves.  The recursions run on the scaled integers
 U_m = 96^m u_m and R_m = 8^m sqrt3^(m-1) v_m.
 """
 
@@ -129,13 +130,34 @@ def v_seq(n: int) -> list[QF3]:
     return V.upto(n)
 
 
+def _extend_t(ts: list, n: int) -> None:
+    """Append t_g through g = n: t_g = -u_g / (2^(g-2) Gamma((5g-1)/2))."""
+    u = u_seq(n)
+    for g in range(len(ts), n + 1):
+        ts.append(SymConst(-u[g] * Fraction(2) ** (2 - g),
+                           gamma_arg=Fraction(5 * g - 1, 2)))
+
+
+def _extend_p(ps: list, n: int) -> None:
+    """Append p_{(m+1)/2} through m = n:
+    p_{(m+1)/2} = v_m / (2^((m-3)/2) Gamma((5m-1)/4))."""
+    big_v = V.grown(n)
+    for m in range(len(ps), n + 1):
+        ps.append(SymConst(Fraction(big_v[m], 8 ** m), rad2=3 - m,
+                           rad3=1 - m, gamma_arg=Fraction(5 * m - 1, 4)))
+
+
+# SymConst values are immutable, so these tables hold them as their entries:
+# T at index g, P at index twog - 1.
+T = Table(_extend_t, lambda x, g: x)
+P = Table(_extend_p, lambda x, m: x)
+
+
 def t_of_g(g: int) -> SymConst:
     """Orientable-surface constant t_g = -u_g / (2^(g-2) Gamma((5g-1)/2))."""
     if g < 0:
         raise ValueError("g must be non-negative")
-    u_g = u_seq(g)[g]
-    return SymConst(-u_g * Fraction(2) ** (2 - g),
-                    gamma_arg=Fraction(5 * g - 1, 2))
+    return T.grown(g)[g]
 
 
 def p_of_g(twog: int) -> SymConst:
@@ -146,9 +168,7 @@ def p_of_g(twog: int) -> SymConst:
     """
     if twog < 1:
         raise ValueError("twog must be positive")
-    n = twog - 1
-    return SymConst(Fraction(V.grown(n)[n], 8 ** n), rad2=3 - n, rad3=1 - n,
-                    gamma_arg=Fraction(5 * n - 1, 4))
+    return P.grown(twog - 1)[twog - 1]
 
 
 def intersection_number(g: int) -> Fraction:

@@ -185,6 +185,24 @@ def _binomial_dot(binom: list[int], xs: list[int], ys: list[int], n: int,
                    reversed(ys[n - top: n + 1])))
 
 
+def _row2_ints(big_omega: list[int], m0: int, m1: int) -> list[int]:
+    """The integers W_{m,2} of row 2 for m = m0..m1, ``big_omega`` holding
+    Omega_j through j = m1: W_{m,2} = -P_m - 25 m (m-1) P_{m-1} with
+    P_m = sum_l C(m,l) Omega_l Omega_{m-l} (``_extend_row``), twice the sum
+    over l < m/2 plus, for even m, the middle term.  P_{m0-1} is taken
+    first, so any index range is its own: the row's grow and a single
+    Richardson window both read this."""
+    out, p_last = [], 0
+    for m, binom in _binomial_rows(max(m0 - 1, 0), m1):
+        p = 2 * _binomial_dot(binom, big_omega, big_omega, m, (m - 1) // 2)
+        if m % 2 == 0:
+            p += binom[m // 2] * big_omega[m // 2] ** 2
+        if m >= m0:
+            out.append(-p - 25 * m * (m - 1) * p_last)
+        p_last = p
+    return out
+
+
 def _extend_row(k: int, big: list[int], n: int) -> None:
     """Grow the integers W_{m,k} = 40^m m! 2^(k-1) sqrt3^(m+k-1) v_{m,k} of
     a row k >= 2 in place through index n from those of row k-1 (S_m for
@@ -201,10 +219,9 @@ def _extend_row(k: int, big: list[int], n: int) -> None:
 
     which, with P^(k)_m = 40^m m! 2^k sqrt3^(m+k) (w^k)_m the integers of
     w^k, reads W_{m,k} = -(k P^(k)_m + 50 m (m-1) P^(k)_{m-1}) / k.  At k = 2
-    it is W_{m,2} = -P_m - 25 m (m-1) P_{m-1}, P_m = sum_l C(m,l) Omega_l
-    Omega_{m-l} being twice the sum over l < m/2 plus, for even m, the
-    middle term.  A grow resuming at m0 takes P_{m0-1} again, so only the
-    row is stored.
+    it is W_{m,2} = -P_m - 25 m (m-1) P_{m-1}, P_m the integers of w^2,
+    which ``_row2_ints`` takes at any run of indices: a grow resuming at m0
+    takes P_{m0-1} again, so only the row is stored.
     """
     low = k - 1
     while low > 1 and len(ROWS[low].ints) <= n:
@@ -217,14 +234,7 @@ def _extend_row(k: int, big: list[int], n: int) -> None:
         for m, binom in _binomial_rows(m0, n):
             big.append(_binomial_dot(binom, lower, big_omega, m, m))
         return
-    p_last = 0
-    for m, binom in _binomial_rows(max(m0 - 1, 0), n):
-        p = 2 * _binomial_dot(binom, big_omega, big_omega, m, (m - 1) // 2)
-        if m % 2 == 0:
-            p += binom[m // 2] * big_omega[m // 2] ** 2
-        if m >= m0:
-            big.append(-p - 25 * m * (m - 1) * p_last)
-        p_last = p
+    big.extend(_row2_ints(big_omega, m0, n))
 
 
 # Row k of v_{n,k} is ROWS[k]: row 0 is v, row 1 is nu; see _row.

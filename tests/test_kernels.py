@@ -275,7 +275,8 @@ BUILDERS = {
 @contextmanager
 def fresh_caches():
     """Empty stand-ins for every table in the crosscap modules, and rows
-    k >= 2 and the cached transform rows dropped, for one block."""
+    k >= 2, the cached transform rows and the S_-1 windows' per-index
+    integers dropped, for one block."""
     tables = {id(x): x for name, module in list(sys.modules.items())
               if name.startswith("crosscap.")
               for x in vars(module).values() if isinstance(x, Table)}
@@ -285,8 +286,10 @@ def fresh_caches():
             stack.enter_context(patch.object(table, "values", []))
         stack.enter_context(patch.object(
             transseries, "ROWS", [sequences.V, transseries.NU]))
-        stack.enter_context(patch.dict(extrapolation._TRANSFORM_ROWS,
-                                       clear=True))
+        for store in (extrapolation._TRANSFORM_ROWS,
+                      extrapolation._LEAD_AT.ints,
+                      extrapolation._BRACES_AT.ints):
+            stack.enter_context(patch.dict(store, clear=True))
         yield
 
 
@@ -436,7 +439,10 @@ def test_concurrent_builds_match_serial():
             quadrangulation_counts(n // 2 + 10), \
             convergence_rows("s", n // 2, (0, 5), 40), \
             extrapolation._rows("r", 5, 40).upto(n // 3), \
-            asym_vk(2, n // 2, 5, 40), estimate_stokes("sminus1", n // 3, 4, 40)
+            asym_vk(2, n // 2, 5, 40), \
+            estimate_stokes("sminus1", n // 3, 4, 40), \
+            estimate_stokes("sminus1", n + 30, 4, 40), \
+            sequences.t_of_g(n), sequences.p_of_g(n)
 
     with fresh_caches():
         serial = [work(n) for n in sizes]
@@ -473,6 +479,8 @@ def test_cache_hit_takes_no_lock():
             lambda: nu_seq(30), lambda: vk_table(30, 3),
             lambda: vpm_series(30), lambda: quadrangulation_counts(30),
             lambda: convergence_rows("sminus1", 30, (0, 1), 40),
+            lambda: estimate_stokes("sminus1", 80, 5, 40),
+            lambda: (sequences.t_of_g(30), sequences.p_of_g(30)),
             lambda: cli.run(["plotdata", "unorquot", "--nmax", "30",
                              "--prec", "40", "--output", os.devnull]))
     for hit in hits:
@@ -879,14 +887,14 @@ def test_public_tables_after_kernel_only_growth():
 # ---------------------------------------------------------------------------
 
 def test_braces_are_the_row3_brace():
-    # grown in steps by an estimate, rows and the table itself
+    # grown in steps by an estimate, rows and the store itself
     with fresh_caches():
         estimate_stokes("sminus1", 30, 6, 40)
         convergence_rows("sminus1", 100, (0, 5), 40)
-        braces = extrapolation._BRACES.upto(260)
+        braces = extrapolation._BRACES_AT.over(1, 260)
         big_w3 = transseries.ROWS[3].ints
-        assert len(braces) == 261
-        # X_m = d_m B_m over the lead's d_m; X_0 is a placeholder
+        assert sorted(braces) == list(range(1, 261))
+        # X_m = d_m B_m over the lead's d_m
         for m in range(1, 261):
             assert braces[m] == 6 * 50 ** m * factorial(m) * factorial(m - 1) \
                 * Fraction(*_brace(big_w3, m // 2,
@@ -894,13 +902,59 @@ def test_braces_are_the_row3_brace():
 
 
 def test_second_sminus1_estimate_builds_no_brace():
+    # a repeated window, and one inside the indices a row run built, take
+    # no P-dot and no brace Horner sum
+    refused = AssertionError("lead or brace rebuilt")
     with fresh_caches():
         first = estimate_stokes("sminus1", 60, 8, 60)
-        with patch.object(extrapolation._BRACES, "grow",
-                          side_effect=AssertionError("brace rebuilt")):
+        rows = convergence_rows("sminus1", 60, (0, 1, 5), 60)
+        with patch.object(extrapolation._LEAD_AT, "compute",
+                          side_effect=refused), \
+                patch.object(extrapolation._BRACES_AT, "compute",
+                             side_effect=refused):
             assert estimate_stokes("sminus1", 60, 8, 60) == first
             estimate_stokes("sminus1", 50, 10, 60)
-            convergence_rows("sminus1", 60, (0, 1, 5), 60)
+            assert convergence_rows("sminus1", 60, (0, 1, 5), 60) == rows
+
+
+def test_sminus1_window_reads_only_its_own_indices():
+    # nu and Omega through n + N, rows 2 and 3 through (n + N)//2, and the
+    # lead and braces at the window's own indices
+    with fresh_caches():
+        estimate_stokes("sminus1", 100, 10, 60)
+        assert len(transseries.ROWS[2].ints) == 56
+        assert len(transseries.ROWS[3].ints) == 56
+        assert len(transseries.OMEGA.ints) == 111
+        window = list(range(100, 111))
+        assert sorted(extrapolation._LEAD_AT.ints) == window
+        assert sorted(extrapolation._BRACES_AT.ints) == window
+
+
+@settings(max_examples=10, deadline=None)
+@given(steps=st.lists(st.one_of(
+    st.tuples(st.just("grow"), st.integers(0, SPLIT_N)),
+    st.tuples(st.just("window"), st.integers(1, SPLIT_N),
+              st.integers(0, 40))), min_size=1, max_size=8))
+def test_window_lead_matches_row2(steps):
+    # windows in random order, interleaved with row 2's growth: the
+    # kernel's W_{m,2} at each window's own indices are row 2's integers
+    ref = convolution_rows()[2]
+    big_omega = transseries.OMEGA.grown(SPLIT_N)
+    with patch.object(transseries, "ROWS", [sequences.V, transseries.NU]), \
+            patch.dict(extrapolation._LEAD_AT.ints, clear=True):
+        for step in steps:
+            if step[0] == "grow":
+                transseries._row(2).grown(step[1])
+                continue
+            n0 = step[1]
+            n1 = min(n0 + step[2], SPLIT_N)
+            assert transseries._row2_ints(big_omega, n0, n1) == \
+                ref[n0: n1 + 1], (n0, n1)
+            lead = extrapolation._lead_window(n0, n1)
+            assert [lead[m] for m in range(n0, n1 + 1)] == \
+                ref[n0: n1 + 1], (n0, n1)
+        for m, w in extrapolation._LEAD_AT.ints.items():
+            assert w == transseries._row(2).grown(m)[m], m
 
 
 # SHA-256 prefix of the sminus1 rows and estimates below, as computed when
@@ -910,15 +964,28 @@ SMINUS1_SIZES = ((9, (2, 3), 3, 200), (45, (0, 1, 3), 6, 200),
 SMINUS1_DIGEST = "5709cc9c3837a974"
 
 
-def test_sminus1_values_unchanged():
+def sminus1_digest(estimate_first):
     digest = hashlib.sha256()
     with fresh_caches():
         for n_max, orders, order, dps in SMINUS1_SIZES:
+            if estimate_first:
+                est = estimate_stokes("sminus1", n_max, order, dps)
             for n, *values in convergence_rows("sminus1", n_max, orders, dps):
                 digest.update(repr((n, [x._mpf_ for x in values])).encode())
-            est = estimate_stokes("sminus1", n_max, order, dps)
+            if not estimate_first:
+                est = estimate_stokes("sminus1", n_max, order, dps)
             digest.update(repr((est.value._mpf_, est.digits)).encode())
-    assert digest.hexdigest()[:16] == SMINUS1_DIGEST
+    return digest.hexdigest()[:16]
+
+
+def test_sminus1_values_unchanged():
+    assert sminus1_digest(estimate_first=False) == SMINUS1_DIGEST
+
+
+def test_sminus1_values_unchanged_estimate_first():
+    # each estimate's window runs before its rows, on lead and braces it
+    # builds per index
+    assert sminus1_digest(estimate_first=True) == SMINUS1_DIGEST
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import comb, prod
+from unittest.mock import patch
 
 import pytest
 
+from crosscap import sequences
 from crosscap.asymptotics import HALF_ACTION
 from crosscap.exactnum import QF3, SymConst
 from crosscap.sequences import (_from_scaled, extend_u, extend_v,
@@ -118,6 +120,29 @@ class TestMapConstants:
     def test_t_rejects_negative(self):
         with pytest.raises(ValueError):
             t_of_g(-1)
+
+    def test_repeat_builds_no_symconst(self):
+        # from empty tables, grown out of order; every value is the closed
+        # form, and a repeat reads the cached constants
+        u, v = u_seq(300), v_seq(299)
+        with patch.object(sequences.T, "ints", []), \
+                patch.object(sequences.P, "ints", []):
+            t_of_g(120)
+            p_of_g(77)
+            ts = [t_of_g(g) for g in range(301)]
+            ps = [p_of_g(twog) for twog in range(1, 301)]
+            for g in range(301):
+                assert ts[g] == SymConst(-u[g] * Fraction(4, 2 ** g),
+                                         gamma_arg=Fraction(5 * g - 1, 2)), g
+            for n in range(300):
+                rational, rad3 = (v[n].a, 0) if v[n].b == 0 else (v[n].b, 1)
+                assert ps[n] == SymConst(rational, rad2=3 - n, rad3=rad3,
+                                         gamma_arg=Fraction(5 * n - 1, 4)), n
+            with patch.object(SymConst, "__init__",
+                              side_effect=AssertionError("built again")):
+                assert all(t_of_g(g) is ts[g] for g in range(301))
+                assert all(p_of_g(twog) is ps[twog - 1]
+                           for twog in range(1, 301))
 
 
 class TestIntersectionNumbers:
