@@ -20,22 +20,22 @@ from the tables' stored integers (``_probe`` describes each probe): a
 single window by Horner's rule (``_horner``, ``_parts``), a row's run of
 windows by N forward-difference passes over the whole run
 (``_run_parts``).  S_-1's integers are closed forms at each index, so a
-single S_-1 window reads them at its own indices only, kept per index
-(``_AtIndex``): it grows nu and w through its end, rows 2 and 3 through
-half of it.  ``richardson`` sums user float data exactly as given,
-each value p / 2^e over the window's largest 2^E.
+window or a run reads them at its own indices only, from one per-index
+store each (``transseries._ROW2_AT`` and ``_BRACES_AT``): a single window
+grows nu and w through its end, rows 2 and 3 through half of it.
+``richardson`` sums user float data exactly as given, each value p / 2^e
+over the window's largest 2^E.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import groupby
 from math import comb, factorial, perm, prod
 
 from .exactnum import (DEFAULT_DPS, _check_dps, _mpf_ratio, _nstr, _Record,
                        round_sum)
-from .sequences import _EXTEND_LOCK, V, Table
-from .transseries import OMEGA, _row, _row2_ints
+from .sequences import V, Table, _AtIndex
+from .transseries import _ROW2_AT, _row
 
 
 class PrecisionWarning(UserWarning):
@@ -119,29 +119,6 @@ def _brace(big: list[int], top: int, step) -> tuple[int, int]:
             prod(map(step, range(1, top + 1))))
 
 
-class _AtIndex:
-    """Integers x_m kept per index m, for the windows that read m = n0..n1
-    only: ``over(n0, n1)`` fills each run of missing indices by
-    ``compute(m0, m1)``, which returns x_{m0} .. x_{m1}, under the tables'
-    lock, and returns the dict.  Entries go in finished, so a hit takes no
-    lock and only checks that each index is present."""
-
-    def __init__(self, compute) -> None:
-        self.ints: dict = {}
-        self.compute = compute
-
-    def over(self, n0: int, n1: int) -> dict:
-        ints = self.ints
-        if not all(map(ints.__contains__, range(n0, n1 + 1))):
-            with _EXTEND_LOCK:
-                missing = [m for m in range(n0, n1 + 1) if m not in ints]
-                for _, run in groupby(enumerate(missing),
-                                      lambda im: im[1] - im[0]):
-                    ms = [m for _, m in run]
-                    ints.update(zip(ms, self.compute(ms[0], ms[-1])))
-        return ints
-
-
 def _braces(m0: int, m1: int) -> list[int]:
     """The integers X_m = d_m B_m for m = m0..m1 >= 1, over the S_-1 lead's
     d_m = 6 50^m m! (m-1)!: B_m is the Horner sum H_m of W_{l,3} through
@@ -159,9 +136,8 @@ def _braces(m0: int, m1: int) -> list[int]:
     return out
 
 
-# Shared by every S_-1 window, row and estimate, so each W_{m,2} a window
-# reads past row 2's Table and each X_m is built once per process.
-_LEAD_AT = _AtIndex(lambda m0, m1: _row2_ints(OMEGA.grown(m1), m0, m1))
+# Shared by every S_-1 window, row and estimate, so each X_m is built once
+# per process.
 _BRACES_AT = _AtIndex(_braces)
 
 
@@ -170,23 +146,10 @@ def _v_ints(n0: int, n1: int) -> list[int]:
     return V.grown(n1)
 
 
-def _lead_run(n0: int, n1: int) -> list[int]:
-    """W_{m,2} for m = n0..n1: row 2's Table grown through n1."""
-    return _row(2).grown(n1)
-
-
-def _lead_window(n0: int, n1: int):
-    """W_{m,2} for m = n0..n1: row 2's Table once it reaches n1, else its
-    per-index entries in ``_LEAD_AT``, so a single window grows the row
-    only as far as its braces read row 3."""
-    big_w2 = _row(2).ints
-    return big_w2 if len(big_w2) > n1 else _LEAD_AT.over(n0, n1)
-
-
-def _probe(which: str, run: bool = False) -> tuple:
-    """The probe ``which`` as ``_parts`` and ``_run_parts`` (``run``) read
-    it: its denominators' step and closed form, the sign and extra power of
-    m its weights carry, and its terms, each a constant and ``ints(n0, n1)``,
+def _probe(which: str) -> tuple:
+    """The probe ``which`` as ``_parts`` and ``_run_parts`` read it: its
+    denominators' step and closed form, the sign and extra power of m its
+    weights carry, and its terms, each a constant and ``ints(n0, n1)``,
     integers indexable at m = n0..n1.
 
     By parity the probes are s_m = 2 pi sqrt3 q_m, r_m = sqrt2 pi m q_m - m
@@ -194,10 +157,10 @@ def _probe(which: str, run: bool = False) -> tuple:
     q_m = R_m / d_m over ``_q_den``, and L_m = W_{m,2} / d_m and
     B_m = X_m / d_m over ``_lead_den``, where
     B_m = sum_{l <= m//2} v_{l,3} (A/2)^l / ((m-1) ... (m-l)) and X_m are
-    the integers in ``_BRACES_AT``.  A run reads W_{m,2} from row 2's
-    Table, a single window from ``_lead_window``, so that one window needs
-    nu and Omega through n+N but rows 2 and 3 only through (n+N)//2.  r's
-    term -m is the closed form ``_m_part``.
+    the integers in ``_BRACES_AT``.  Windows and runs alike read W_{m,2}
+    from ``transseries._ROW2_AT``, so that one window needs nu and Omega
+    through n+N but rows 2 and 3 only through (n+N)//2.  r's term -m is
+    the closed form ``_m_part``.
     """
     if which == "s":
         return _q_step, _q_den, 1, 0, [((2, 1, 3), _v_ints)]
@@ -205,8 +168,7 @@ def _probe(which: str, run: bool = False) -> tuple:
         return _q_step, _q_den, 1, 1, [((1, 1, 2), _v_ints)]
     if which == "sminus1":
         return (_lead_step, _lead_den, -1, 0,
-                [((2, 1, 3), _lead_run if run else _lead_window),
-                 ((-3, 0, 6), _BRACES_AT.over)])
+                [((2, 1, 3), _ROW2_AT.over), ((-3, 0, 6), _BRACES_AT.over)])
     raise ValueError(f"unknown probe {which!r}")
 
 
@@ -237,7 +199,7 @@ def _run_parts(which: str, order: int, n0: int, n1: int):
     a[i+1] - step(n0+i+p+1) a[i], so entry i ends as the same integer over
     d_{n0+i+N} that ``_parts`` builds, stepped from d_{n0+N}.  Cheaper than
     ``_parts`` per window once a run passes about N/2; built as read."""
-    step, den, sign, power, terms = _probe(which, run=True)
+    step, den, sign, power, terms = _probe(which)
     top = n1 + order
     steps = [step(m) for m in range(n0 + 1, top + 1)]
     runs = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 
 from .exactnum import _ZERO, QF3, SymConst
@@ -66,6 +67,29 @@ class Table:
                 values.extend([self.value(x, m) for m, x in
                                enumerate(self.grown(n)[start:n + 1], start)])
         return values[: n + 1]
+
+
+class _AtIndex:
+    """Integers x_m kept per index m, for readers of any run of indices:
+    ``over(n0, n1)`` fills each run of missing indices in n0..n1 by
+    ``compute(m0, m1)``, which returns x_{m0} .. x_{m1}, under the tables'
+    lock, and returns the dict.  Entries go in finished, so a hit takes no
+    lock and only checks that each index is present."""
+
+    def __init__(self, compute) -> None:
+        self.ints: dict = {}
+        self.compute = compute
+
+    def over(self, n0: int, n1: int) -> dict:
+        ints = self.ints
+        if not all(map(ints.__contains__, range(n0, n1 + 1))):
+            with _EXTEND_LOCK:
+                missing = [m for m in range(n0, n1 + 1) if m not in ints]
+                for _, run in groupby(enumerate(missing),
+                                      lambda im: im[1] - im[0]):
+                    ms = [m for _, m in run]
+                    ints.update(zip(ms, self.compute(ms[0], ms[-1])))
+        return ints
 
 
 def _half_self_convolution(xs: list[int], m: int) -> int:

@@ -16,10 +16,12 @@ are geometric: with vhat_k = sum_{n>=0} v_{n,k} x^-n,
     vhat_k = nu w^(k-1),  k >= 1,
 
 for one series w with a first-order recursion (``_extend_omega``), so row
-k >= 3 is row k-1 times w, and row 2 is read off w^2, each of its products
-taken once (``_extend_row``).  These recursions, and those of mu, nu and
-the pair below, run on scaled integers; each table is a ``Table``, and the
-rows form the list ``ROWS``, which ``_row`` extends.
+k >= 3 is row k-1 times w (``_extend_row``), and row 2 is read off w^2,
+each of its products taken once (``_row2_ints``).  These recursions, and
+those of mu, nu and the pair below, run on scaled integers; each table is a
+``Table``, and the rows form the list ``ROWS``, which ``_row`` extends.
+Row 2's integers are kept per index (``_ROW2_AT``), which its ``Table``
+and every S_-1 window read.
 
 ``vpm_series`` gives the two formal power series v_plus, v_minus with
 
@@ -36,7 +38,7 @@ from math import comb, factorial
 from operator import add, mul
 
 from .exactnum import QF3
-from .sequences import _EXTEND_LOCK, U, V, Table, _from_scaled
+from .sequences import _EXTEND_LOCK, U, V, Table, _AtIndex, _from_scaled
 from .series import Series
 
 _QZERO = QF3(0)
@@ -186,12 +188,21 @@ def _binomial_dot(binom: list[int], xs: list[int], ys: list[int], n: int,
 
 
 def _row2_ints(big_omega: list[int], m0: int, m1: int) -> list[int]:
-    """The integers W_{m,2} of row 2 for m = m0..m1, ``big_omega`` holding
-    Omega_j through j = m1: W_{m,2} = -P_m - 25 m (m-1) P_{m-1} with
-    P_m = sum_l C(m,l) Omega_l Omega_{m-l} (``_extend_row``), twice the sum
-    over l < m/2 plus, for even m, the middle term.  P_{m0-1} is taken
-    first, so any index range is its own: the row's grow and a single
-    Richardson window both read this."""
+    """The integers W_{m,2} of row 2 (``_extend_row``) for m = m0..m1,
+    ``big_omega`` holding Omega_j through j = m1, read off w^2, each of its
+    products taken once.  Omega's recursion is nu = -2 sqrt3 w - (5/2)
+    z theta w, with (z theta f)_m = (m-1) f_{m-1}; as
+    2 w z theta w = z theta (w^2),
+
+        vhat_k = nu w^(k-1) = -2 sqrt3 w^k - (5/(2k)) z theta (w^k),
+
+    which, with P^(k)_m = 40^m m! 2^k sqrt3^(m+k) (w^k)_m the integers of
+    w^k, reads W_{m,k} = -(k P^(k)_m + 50 m (m-1) P^(k)_{m-1}) / k.  At
+    k = 2 it is W_{m,2} = -P_m - 25 m (m-1) P_{m-1}, with
+    P_m = sum_l C(m,l) Omega_l Omega_{m-l} the integers of w^2, twice the
+    sum over l < m/2 plus, for even m, the middle term.  P_{m0-1} is taken
+    first, so any run of indices is its own: ``_ROW2_AT`` calls this for
+    each run it lacks."""
     out, p_last = [], 0
     for m, binom in _binomial_rows(max(m0 - 1, 0), m1):
         p = 2 * _binomial_dot(binom, big_omega, big_omega, m, (m - 1) // 2)
@@ -203,38 +214,33 @@ def _row2_ints(big_omega: list[int], m0: int, m1: int) -> list[int]:
     return out
 
 
+# Row 2's integers at every index read so far, by its Table's grow, an S_-1
+# window or an S_-1 run: each W_{m,2} is computed once per process.
+_ROW2_AT = _AtIndex(lambda m0, m1: _row2_ints(OMEGA.grown(m1), m0, m1))
+
+
 def _extend_row(k: int, big: list[int], n: int) -> None:
     """Grow the integers W_{m,k} = 40^m m! 2^(k-1) sqrt3^(m+k-1) v_{m,k} of
-    a row k >= 2 in place through index n from those of row k-1 (S_m for
-    k = 2), grown first: vhat_k = vhat_{k-1} w reads
-    W_{m,k} = sum_{l<=m} C(m,l) W_{l,k-1} Omega_{m-l}.  No row is longer
-    than the one below it, so the short rows below k are a run just below
-    it, grown here lowest first: no grow nests another.
-
-    Row 2 reads w^2 instead, each of its products taken once.  Omega's
-    recursion is nu = -2 sqrt3 w - (5/2) z theta w, with (z theta f)_m =
-    (m-1) f_{m-1}; as 2 w z theta w = z theta (w^2),
-
-        vhat_k = nu w^(k-1) = -2 sqrt3 w^k - (5/(2k)) z theta (w^k),
-
-    which, with P^(k)_m = 40^m m! 2^k sqrt3^(m+k) (w^k)_m the integers of
-    w^k, reads W_{m,k} = -(k P^(k)_m + 50 m (m-1) P^(k)_{m-1}) / k.  At k = 2
-    it is W_{m,2} = -P_m - 25 m (m-1) P_{m-1}, P_m the integers of w^2,
-    which ``_row2_ints`` takes at any run of indices: a grow resuming at m0
-    takes P_{m0-1} again, so only the row is stored.
+    a row k >= 2 in place through index n.  Row 2 copies its entries from
+    ``_ROW2_AT``.  A row k >= 3 reads row k-1, grown first:
+    vhat_k = vhat_{k-1} w reads W_{m,k} = sum_{l<=m} C(m,l) W_{l,k-1}
+    Omega_{m-l}.  No row is longer than the one below it, so the short rows
+    below k are a run just below it, grown here lowest first: no grow nests
+    another.
     """
+    m0 = len(big)
+    if k == 2:
+        big_w2 = _ROW2_AT.over(m0, n)
+        big.extend([big_w2[m] for m in range(m0, n + 1)])
+        return
     low = k - 1
     while low > 1 and len(ROWS[low].ints) <= n:
         low -= 1
     for row in ROWS[low:k]:
         row.grown(n)
     lower, big_omega = ROWS[k - 1].ints, OMEGA.grown(n)
-    m0 = len(big)
-    if k > 2:
-        for m, binom in _binomial_rows(m0, n):
-            big.append(_binomial_dot(binom, lower, big_omega, m, m))
-        return
-    big.extend(_row2_ints(big_omega, m0, n))
+    for m, binom in _binomial_rows(m0, n):
+        big.append(_binomial_dot(binom, lower, big_omega, m, m))
 
 
 # Row k of v_{n,k} is ROWS[k]: row 0 is v, row 1 is nu; see _row.

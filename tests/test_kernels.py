@@ -48,7 +48,7 @@ from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
                                     _q_step, _run_parts, convergence_rows,
                                     estimate_stokes, probe_richardson, r_seq,
                                     richardson, s_seq)
-from crosscap.sequences import Table, _from_scaled, u_seq, v_seq
+from crosscap.sequences import Table, _AtIndex, _from_scaled, u_seq, v_seq
 from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
                                quadrangulation_counts, rp2_correlator_series,
@@ -274,22 +274,24 @@ BUILDERS = {
 
 @contextmanager
 def fresh_caches():
-    """Empty stand-ins for every table in the crosscap modules, and rows
-    k >= 2, the cached transform rows and the S_-1 windows' per-index
-    integers dropped, for one block."""
-    tables = {id(x): x for name, module in list(sys.modules.items())
+    """Empty stand-ins for every table and every per-index store in the
+    crosscap modules, and rows k >= 2 and the cached transform rows
+    dropped, for one block."""
+    caches = {id(x): x for name, module in list(sys.modules.items())
               if name.startswith("crosscap.")
-              for x in vars(module).values() if isinstance(x, Table)}
+              for x in vars(module).values()
+              if isinstance(x, (Table, _AtIndex))}
     with ExitStack() as stack:
-        for table in tables.values():
-            stack.enter_context(patch.object(table, "ints", []))
-            stack.enter_context(patch.object(table, "values", []))
+        for store in caches.values():
+            if isinstance(store, _AtIndex):
+                stack.enter_context(patch.object(store, "ints", {}))
+                continue
+            stack.enter_context(patch.object(store, "ints", []))
+            stack.enter_context(patch.object(store, "values", []))
         stack.enter_context(patch.object(
             transseries, "ROWS", [sequences.V, transseries.NU]))
-        for store in (extrapolation._TRANSFORM_ROWS,
-                      extrapolation._LEAD_AT.ints,
-                      extrapolation._BRACES_AT.ints):
-            stack.enter_context(patch.dict(store, clear=True))
+        stack.enter_context(patch.dict(extrapolation._TRANSFORM_ROWS,
+                                       clear=True))
         yield
 
 
@@ -387,9 +389,10 @@ def convolution_rows():
 def test_rows_match_convolution_kernel(steps):
     # any split of rows 2..5 into grows, each resuming where its row
     # stopped (row 2 then takes P_{m0-1} again), gives the convolutions;
-    # nu and w stay built, the rows k >= 2 start empty
+    # nu and w stay built, the rows k >= 2 and row 2's store start empty
     ref = convolution_rows()
-    with patch.object(transseries, "ROWS", [sequences.V, transseries.NU]):
+    with patch.object(transseries, "ROWS", [sequences.V, transseries.NU]), \
+            patch.dict(transseries._ROW2_AT.ints, clear=True):
         for k, n in [*steps, (5, SPLIT_N)]:
             transseries._row(k).grown(n)
             for j, row in enumerate(transseries.ROWS[2:], 2):
@@ -908,7 +911,7 @@ def test_second_sminus1_estimate_builds_no_brace():
     with fresh_caches():
         first = estimate_stokes("sminus1", 60, 8, 60)
         rows = convergence_rows("sminus1", 60, (0, 1, 5), 60)
-        with patch.object(extrapolation._LEAD_AT, "compute",
+        with patch.object(transseries._ROW2_AT, "compute",
                           side_effect=refused), \
                 patch.object(extrapolation._BRACES_AT, "compute",
                              side_effect=refused):
@@ -918,15 +921,16 @@ def test_second_sminus1_estimate_builds_no_brace():
 
 
 def test_sminus1_window_reads_only_its_own_indices():
-    # nu and Omega through n + N, rows 2 and 3 through (n + N)//2, and the
-    # lead and braces at the window's own indices
+    # nu and Omega through n + N, rows 2 and 3 through (n + N)//2, the
+    # braces at the window's own indices, and row 2's store at the Table's
+    # entries and the window's own
     with fresh_caches():
         estimate_stokes("sminus1", 100, 10, 60)
         assert len(transseries.ROWS[2].ints) == 56
         assert len(transseries.ROWS[3].ints) == 56
         assert len(transseries.OMEGA.ints) == 111
         window = list(range(100, 111))
-        assert sorted(extrapolation._LEAD_AT.ints) == window
+        assert sorted(transseries._ROW2_AT.ints) == [*range(56), *window]
         assert sorted(extrapolation._BRACES_AT.ints) == window
 
 
@@ -940,8 +944,9 @@ def test_window_lead_matches_row2(steps):
     # kernel's W_{m,2} at each window's own indices are row 2's integers
     ref = convolution_rows()[2]
     big_omega = transseries.OMEGA.grown(SPLIT_N)
+    store = transseries._ROW2_AT
     with patch.object(transseries, "ROWS", [sequences.V, transseries.NU]), \
-            patch.dict(extrapolation._LEAD_AT.ints, clear=True):
+            patch.dict(store.ints, clear=True):
         for step in steps:
             if step[0] == "grow":
                 transseries._row(2).grown(step[1])
@@ -950,11 +955,38 @@ def test_window_lead_matches_row2(steps):
             n1 = min(n0 + step[2], SPLIT_N)
             assert transseries._row2_ints(big_omega, n0, n1) == \
                 ref[n0: n1 + 1], (n0, n1)
-            lead = extrapolation._lead_window(n0, n1)
+            lead = store.over(n0, n1)
             assert [lead[m] for m in range(n0, n1 + 1)] == \
                 ref[n0: n1 + 1], (n0, n1)
-        for m, w in extrapolation._LEAD_AT.ints.items():
+        # growing the row inserts into the store: iterate over a snapshot
+        for m, w in list(store.ints.items()):
             assert w == transseries._row(2).grown(m)[m], m
+
+
+def test_each_row2_integer_is_computed_once():
+    # rows, single windows and row-sized reads in any order share one
+    # store: the W_{m,2} kernel, under every name it is called by, is asked
+    # for each index once
+    kernel, asked = transseries._row2_ints, []
+
+    def recorded(big_omega, m0, m1):
+        asked.append((m0, m1))
+        return kernel(big_omega, m0, m1)
+
+    with fresh_caches(), ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("crosscap.") and \
+                    getattr(module, "_row2_ints", None) is kernel:
+                stack.enter_context(
+                    patch.object(module, "_row2_ints", recorded))
+        vk_table(105, 2)
+        estimate_stokes("sminus1", 100, 10, 60)
+        estimate_stokes("sminus1", 200, 10, 60)
+        vk_table(260, 2)
+        row2 = transseries.ROWS[2].ints
+    indices = sorted(m for m0, m1 in asked for m in range(m0, m1 + 1))
+    assert indices == list(range(261)), asked
+    assert row2 == convolution_rows()[2][:261]
 
 
 # SHA-256 prefix of the sminus1 rows and estimates below, as computed when
