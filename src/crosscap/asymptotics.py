@@ -1,7 +1,7 @@
 """Arbitrary-precision evaluation of the large-index expansions.
 
 The three evaluators share one pattern.  Each brace is one exact Horner sum
-over the tables' stored integers (``extrapolation._brace``): with
+over the tables' stored integers (``sequences._brace``): with
 M_l = 320^l l! sqrt3^l mu_l and W_{l,k} the integers of row k (S_l at k = 1),
 
     sum mu_l A^l / prod_{m<=l} (2n-1/2-m)  =  sum M_l / prod 100 m (4n-1-2m),
@@ -21,7 +21,7 @@ from math import factorial, perm
 
 from .exactnum import (DEFAULT_DPS, QF3, SQRT3, _check_dps, _mpf_ratio,
                        round_sum)
-from .extrapolation import _brace
+from .sequences import _brace
 from .transseries import MU, _row
 
 INSTANTON_ACTION = 8 * SQRT3 / 5   # A = 8 sqrt3 / 5

@@ -25,7 +25,7 @@ from .exactnum import (DEFAULT_DPS, SymbolicConstantError, _nstr,
                        rational_to_float)
 from .sequences import intersection_number, p_of_g, t_of_g, u_seq, v_seq
 from .transseries import mu_seq, nu_seq, vk_table, vpm_series
-from .asymptotics import asym_u, asym_v, asym_vk, relative_error
+from .asymptotics import asym_u, asym_vk, relative_error
 from .extrapolation import _rows, estimate_stokes, probe_richardson
 from .specgeom import quadrangulation_counts
 
@@ -223,12 +223,10 @@ def _cmd_asym(args, dps: int) -> None:
     if args.name == "u":
         approx = asym_u(n, L, dps)
         exact = u_seq(n)[n]
-    elif args.name == "v":
-        approx = asym_v(n, L, dps)
-        exact = v_seq(n)[n]
     else:
-        approx = asym_vk(args.k, n, L, dps)
-        exact = vk_table(n, args.k).value(n, args.k)
+        k = args.k if args.name == "vk" else 0
+        approx = asym_vk(k, n, L, dps)
+        exact = vk_table(n, k).value(n, k)
     err = relative_error(approx, exact, dps)
     row = (n, L, str(exact), _nstr(approx, dps), _nstr(err, 10))
     keys = ("exact", "asym", "rel_error")

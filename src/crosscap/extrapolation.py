@@ -17,8 +17,8 @@ exact rational transforms, combined and rounded once (``round_sum``).  Each
 rational transform is one integer over the closed-form denominator of the
 window's last entry.  The transforms of crosscap's own sequences build it
 from the tables' stored integers (``_probe`` describes each probe): a
-single window by Horner's rule (``_horner``, ``_parts``), a row's run of
-windows by N forward-difference passes over the whole run
+single window by Horner's rule (``sequences._horner``, ``_parts``), a
+row's run of windows by N forward-difference passes over the whole run
 (``_run_parts``).  S_-1's integers are closed forms at each index, so a
 window or a run reads them at its own indices only, from one per-index
 store each (``transseries._ROW2_AT`` and ``_BRACES_AT``): a single window
@@ -30,11 +30,11 @@ over the window's largest 2^E.
 from __future__ import annotations
 
 import warnings
-from math import comb, factorial, perm, prod
+from math import comb, factorial, perm
 
 from .exactnum import (DEFAULT_DPS, _check_dps, _mpf_ratio, _nstr, _Record,
                        round_sum)
-from .sequences import V, Table, _AtIndex
+from .sequences import V, Table, _AtIndex, _horner
 from .transseries import _ROW2_AT, _row
 
 
@@ -81,16 +81,6 @@ def _weights(order: int, n: int) -> list[int]:
             for k in range(order + 1)]
 
 
-def _horner(weights: list[int], xs: list[int], n: int, step) -> int:
-    """sum_k weights[k] xs[n+k] step(n+k+1) ... step(n+N), N = len(weights)
-    - 1, by Horner's rule: the window's integer sum over the denominator
-    d_{n+N} when entry m is xs[m] / d_m and step(m) = d_m / d_{m-1}."""
-    acc = 0
-    for m, w in enumerate(weights, n):
-        acc = acc * step(m) + w * xs[m]
-    return acc
-
-
 def _q_den(m: int) -> int:
     """q's denominator d_m = 10^m (m-1)!, m >= 1."""
     return 10 ** m * factorial(m - 1)
@@ -109,14 +99,6 @@ def _lead_den(m: int) -> int:
 def _lead_step(m: int) -> int:
     """d_m / d_{m-1} for the S_-1 lead's denominators."""
     return 50 * m * (m - 1)
-
-
-def _brace(big: list[int], top: int, step) -> tuple[int, int]:
-    """sum_{l <= top} big[l] / (step(1) ... step(l)) exactly, as two integers:
-    one Horner sum and step(1) ... step(top).  Every expansion brace has this
-    form on the stored integers (``asymptotics``), and so has S_-1's B_m."""
-    return (_horner([1] * (top + 1), big, 0, step),
-            prod(map(step, range(1, top + 1))))
 
 
 def _braces(m0: int, m1: int) -> list[int]:
@@ -289,15 +271,17 @@ def matched_digits(value, target, dps: int) -> int:
 
     k = 1 - c for the least integer c with 2 rel <= 10^c, rel the dyadic
     |value/target - 1| at dps digits, found by exact integer comparison.
-    A target of 0 raises ``ZeroDivisionError``.
+    Nan or inf raises ``ValueError``, a target of 0 ``ZeroDivisionError``.
     """
     _check_dps(dps)
     import mpmath
     with mpmath.workdps(dps):
-        target = mpmath.mpf(target)
+        value, target = mpmath.mpf(value), mpmath.mpf(target)
+        if not (mpmath.isfinite(value) and mpmath.isfinite(target)):
+            raise ValueError(f"matched digits of {value} against {target}")
         if not target:
             raise ZeroDivisionError("matched digits against a target of 0")
-        rel = abs(mpmath.mpf(value) / target - 1)
+        rel = abs(value / target - 1)
     if rel == 0:
         return dps
     man, e = rel.man_exp
@@ -341,8 +325,7 @@ def convergence_rows(which: str, n_max: int = 250, orders: tuple = (0, 1, 5),
     n = 1..n_max.  Each value is rounded once per process: the rows are
     cached per (probe, order, dps) in ``_TRANSFORM_ROWS``, and printed only
     when ``plotdata`` reads them."""
-    if which not in ("s", "r", "sminus1"):
-        raise ValueError(f"unknown probe {which!r}")
+    _probe(which)  # an unknown probe raises here, before _rows makes a Table
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if not orders or min(orders) < 0:

@@ -12,7 +12,8 @@ psi-class intersection numbers are exact one-liners.
 Both builders cache in a ``Table``: asking for N after M < N reuses the
 first M+1 entries.  So do t_g and p_g, whose tables hold the ``SymConst``
 values themselves.  The recursions run on the scaled integers
-U_m = 96^m u_m and R_m = 8^m sqrt3^(m-1) v_m.
+U_m = 96^m u_m and R_m = 8^m sqrt3^(m-1) v_m, which every library reader
+takes through ``grown``; both float layers sum them with ``_horner``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from itertools import groupby
-from math import factorial
+from math import factorial, prod
 
 from .exactnum import _ZERO, QF3, SymConst
 
@@ -101,6 +102,24 @@ def _half_self_convolution(xs: list[int], m: int) -> int:
     return acc + (xs[m // 2] ** 2 >> 1 if m % 2 == 0 else 0)
 
 
+def _horner(weights: list[int], xs: list[int], n: int, step) -> int:
+    """sum_k weights[k] xs[n+k] step(n+k+1) ... step(n+N), N = len(weights)
+    - 1, by Horner's rule: the window's integer sum over the denominator
+    d_{n+N} when entry m is xs[m] / d_m and step(m) = d_m / d_{m-1}."""
+    acc = 0
+    for m, w in enumerate(weights, n):
+        acc = acc * step(m) + w * xs[m]
+    return acc
+
+
+def _brace(big: list[int], top: int, step) -> tuple[int, int]:
+    """sum_{l <= top} big[l] / (step(1) ... step(l)) exactly, as two integers:
+    one Horner sum and step(1) ... step(top).  Every expansion brace has this
+    form on the stored integers (``asymptotics``), and so has S_-1's B_m."""
+    return (_horner([1] * (top + 1), big, 0, step),
+            prod(map(step, range(1, top + 1))))
+
+
 def _from_scaled(num: int, den: int, e: int) -> QF3:
     """num / (den sqrt3^e): a rational for even e, a rational times sqrt3
     for odd e."""
@@ -156,9 +175,9 @@ def v_seq(n: int) -> list[QF3]:
 
 def _extend_t(ts: list, n: int) -> None:
     """Append t_g through g = n: t_g = -u_g / (2^(g-2) Gamma((5g-1)/2))."""
-    u = u_seq(n)
+    big_u = U.grown(n)
     for g in range(len(ts), n + 1):
-        ts.append(SymConst(-u[g] * Fraction(2) ** (2 - g),
+        ts.append(SymConst(Fraction(-big_u[g] << 2, 96 ** g << g),
                            gamma_arg=Fraction(5 * g - 1, 2)))
 
 
@@ -199,5 +218,5 @@ def intersection_number(g: int) -> Fraction:
     """<sigma_2^(3g-3)>_g = (3g-3)! * (-4^g / ((5g-5)(5g-3))) * u_g, g >= 2."""
     if g < 2:
         raise ValueError("defined for g >= 2 (the 5g-5 factor vanishes at g = 1)")
-    u_g = u_seq(g)[g]
-    return factorial(3 * g - 3) * Fraction(-(4 ** g), (5 * g - 5) * (5 * g - 3)) * u_g
+    return factorial(3 * g - 3) * Fraction(-(4 ** g) * U.grown(g)[g],
+                                           96 ** g * (5 * g - 5) * (5 * g - 3))

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from fractions import Fraction
 from math import factorial, prod
 
@@ -5,15 +7,26 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap import transseries
+from crosscap import asymptotics, transseries
 from crosscap.asymptotics import (HALF_ACTION, INSTANTON_ACTION, asym_u,
                                   asym_v, asym_vk, relative_error)
 from crosscap.exactnum import QF3, SQRT3, SymConst, round_sum
-from crosscap.extrapolation import _brace
-from crosscap.sequences import u_seq, v_seq
+from crosscap.sequences import _brace, u_seq, v_seq
 from crosscap.transseries import mu_seq, nu_seq, vk_table
 
 DPS = 60
+
+
+def test_imports_nothing_from_extrapolation():
+    # both float layers sit on the table layer, so extrapolation may read
+    # the expansions without an import cycle
+    tree = ast.parse(pathlib.Path(asymptotics.__file__).read_text("utf-8"))
+    sources = [node.module or "" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    sources += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert not any("extrapolation" in name for name in sources), sources
+    assert "sequences" in sources
 
 
 def test_action_square_is_192_over_25():

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crosscap import extrapolation
 from crosscap.exactnum import QF3, SymConst, rational_to_float
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning,
                                     RichardsonResult, StokesEstimate, _weights,
@@ -186,6 +187,13 @@ class TestMatchedDigits:
         with pytest.raises(ZeroDivisionError, match="target of 0"):
             matched_digits(mpmath.mpf(1), mpmath.mpf(0), 30)
 
+    @pytest.mark.parametrize("special", ["inf", "-inf", "nan"])
+    def test_rejects_special_values(self, special):
+        with pytest.raises(ValueError):
+            matched_digits(mpmath.mpf(special), mpmath.mpf(2), 30)
+        with pytest.raises(ValueError):
+            matched_digits(mpmath.mpf(3), mpmath.mpf(special), 30)
+
 
 def log10_digits(value, target, dps: int) -> int:
     """matched_digits by its earlier formula, floor(1 - log10(2 rel)) at
@@ -280,6 +288,10 @@ class TestStokesEstimates:
             estimate_stokes("sboth", 10, 2, 40)
         with pytest.raises(ValueError, match="unknown probe 'x'"):
             probe_richardson("x", 2, 10, 60)
+        before = set(extrapolation._TRANSFORM_ROWS)
+        with pytest.raises(ValueError, match="unknown probe 'x'"):
+            convergence_rows("x", 10, (0,), 40)
+        assert set(extrapolation._TRANSFORM_ROWS) == before
 
 
 class TestSectionRows:

@@ -43,12 +43,13 @@ from hypothesis import given, settings, strategies as st
 from crosscap import cli, extrapolation, sequences, specgeom, transseries
 from crosscap.asymptotics import asym_u, asym_v, asym_vk
 from crosscap.exactnum import QF3, SymConst, round_sum
-from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _brace,
-                                    _lead_den, _lead_step, _parts, _q_den,
-                                    _q_step, _run_parts, convergence_rows,
+from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _lead_den,
+                                    _lead_step, _parts, _q_den, _q_step,
+                                    _run_parts, convergence_rows,
                                     estimate_stokes, probe_richardson, r_seq,
                                     richardson, s_seq)
-from crosscap.sequences import Table, _AtIndex, _from_scaled, u_seq, v_seq
+from crosscap.sequences import (Table, _AtIndex, _brace, _from_scaled, u_seq,
+                                v_seq)
 from crosscap.series import Series
 from crosscap.specgeom import (SpectralCurveError, alpha2_series,
                                quadrangulation_counts, rp2_correlator_series,

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 from unittest.mock import patch
 
 import pytest
@@ -12,6 +12,13 @@ from crosscap.exactnum import QF3, SymConst
 from crosscap.sequences import (_from_scaled, extend_u, extend_v,
                                 intersection_number, p_of_g, t_of_g, u_seq,
                                 v_seq)
+
+
+def no_public_values():
+    """Patch every table's ``upto`` to raise: a library reader that grows
+    from the integers alone still works under it."""
+    return patch.object(sequences.Table, "upto",
+                        side_effect=AssertionError("public values read"))
 
 
 class TestUSeq:
@@ -127,10 +134,11 @@ class TestMapConstants:
         u, v = u_seq(300), v_seq(299)
         with patch.object(sequences.T, "ints", []), \
                 patch.object(sequences.P, "ints", []):
-            t_of_g(120)
-            p_of_g(77)
-            ts = [t_of_g(g) for g in range(301)]
-            ps = [p_of_g(twog) for twog in range(1, 301)]
+            with no_public_values():
+                t_of_g(120)
+                p_of_g(77)
+                ts = [t_of_g(g) for g in range(301)]
+                ps = [p_of_g(twog) for twog in range(1, 301)]
             for g in range(301):
                 assert ts[g] == SymConst(-u[g] * Fraction(4, 2 ** g),
                                          gamma_arg=Fraction(5 * g - 1, 2)), g
@@ -162,7 +170,18 @@ class TestIntersectionNumbers:
     @pytest.mark.parametrize("g", range(2, 8))
     def test_matches_virasoro_recursion(self, g):
         # <tau_2^(3g-3)>_g from the DVV recursion, which never reads u
-        assert intersection_number(g) == psi_intersection(g, (0, 0, 3 * g - 3))
+        with no_public_values():
+            got = intersection_number(g)
+        assert got == psi_intersection(g, (0, 0, 3 * g - 3))
+
+    def test_reads_the_u_integers(self):
+        # from an empty U with no public values read, every number is the
+        # closed form on u_g
+        u = u_seq(40)
+        with patch.object(sequences.U, "ints", []), no_public_values():
+            for g in range(2, 41):
+                assert intersection_number(g) == factorial(3 * g - 3) * \
+                    Fraction(-(4 ** g), (5 * g - 5) * (5 * g - 3)) * u[g], g
 
 
 def _double_factorial(m: int) -> int:
