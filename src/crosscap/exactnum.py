@@ -1,6 +1,7 @@
 """Exact arithmetic foundations: the quadratic field Q(sqrt3), canonical
-symbolic constants with Gamma normalization, and the one rounding of exact
-values to mpmath floats.
+symbolic constants with Gamma normalization, and the float type, in the one
+module that imports mpmath or reads an mpf's bits: exact values rounded once
+to mpmath floats, printed, read back exactly and compared in digits.
 
 Rationals are plain ``fractions.Fraction`` throughout; every operation in
 this module is pure, and all values are immutable after construction,
@@ -198,6 +199,33 @@ def _mpf_ratio(x) -> tuple:
     if sign:
         man = -man
     return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def matched_digits(value, target, dps: int) -> int:
+    """Largest k with |value/target - 1| <= 0.5 * 10^(1-k), capped at dps:
+    k = 1 - c for the least integer c with 2 rel <= 10^c, rel the quotient
+    at dps digits, compared exactly in integers.  The inputs are anything
+    ``mpmath.mpf`` converts, ints included, rounded to dps first, where
+    ``relative_error`` and ``richardson`` take only an mpf, exactly.  Nan
+    or inf raises ``ValueError``, a target of 0 ``ZeroDivisionError``.
+    """
+    _check_dps(dps)
+    import mpmath
+    with mpmath.workdps(dps):
+        value, target = mpmath.mpf(value), mpmath.mpf(target)
+        if not (mpmath.isfinite(value) and mpmath.isfinite(target)):
+            raise ValueError(f"matched digits of {value} against {target}")
+        if not target:
+            raise ZeroDivisionError("matched digits against a target of 0")
+        rel = abs(value / target - 1)
+    if rel == 0:
+        return dps
+    num, den = _mpf_ratio(rel)  # rel = num/den, den a power of two
+    # 2 rel >= 2^(bits of num - bits of den + 1): start c below the least
+    c = int((num.bit_length() - den.bit_length() + 1) * 0.3010299956639812) - 2
+    while 2 * num * 10 ** max(-c, 0) > den * 10 ** max(c, 0):
+        c += 1
+    return max(0, min(1 - c, dps))
 
 
 def rational_to_float(q, dps: int = DEFAULT_DPS):

@@ -33,7 +33,7 @@ import warnings
 from math import comb, factorial, perm
 
 from .exactnum import (DEFAULT_DPS, _check_dps, _mpf_ratio, _nstr, _Record,
-                       round_sum)
+                       matched_digits, round_sum)
 from .sequences import V, Table, _AtIndex, _horner
 from .transseries import _ROW2_AT, _row
 
@@ -264,33 +264,6 @@ def richardson(seq: FloatSeq, order: int, n: int) -> RichardsonResult:
             f"only {guard} guard digits at dps={seq.dps} for order "
             f"{order} at n={n}", PrecisionWarning, stacklevel=2)
     return RichardsonResult(order, n, value)
-
-
-def matched_digits(value, target, dps: int) -> int:
-    """Largest k with |value/target - 1| <= 0.5 * 10^(1-k), capped at dps.
-
-    k = 1 - c for the least integer c with 2 rel <= 10^c, rel the dyadic
-    |value/target - 1| at dps digits, found by exact integer comparison.
-    Nan or inf raises ``ValueError``, a target of 0 ``ZeroDivisionError``.
-    """
-    _check_dps(dps)
-    import mpmath
-    with mpmath.workdps(dps):
-        value, target = mpmath.mpf(value), mpmath.mpf(target)
-        if not (mpmath.isfinite(value) and mpmath.isfinite(target)):
-            raise ValueError(f"matched digits of {value} against {target}")
-        if not target:
-            raise ZeroDivisionError("matched digits against a target of 0")
-        rel = abs(value / target - 1)
-    if rel == 0:
-        return dps
-    man, e = rel.man_exp
-    num, den = man << max(e + 1, 0), 1 << max(-e - 1, 0)  # 2 rel = num/den
-    # start below the least c: 2 rel >= 2^(bits + e), less 2 for rounding
-    c = int((man.bit_length() + e) * 0.30102999566398120) - 2
-    while num * 10 ** max(-c, 0) > den * 10 ** max(c, 0):
-        c += 1
-    return max(0, min(1 - c, dps))
 
 
 class StokesEstimate(_Record):

@@ -78,16 +78,16 @@ def extend_nu(big: list[int], big_v: list[int], n: int) -> None:
         S_m = -sum_{k<m} 5^(m-1-k) (m-1)!/k! (R_{m+1-k}/2) S_k,
 
     S_0 = 1, the sum taken in Horner form; ``big_v`` must hold the scaled
-    v-sequence R_j (even for j >= 1) through j = n+1.
+    v-sequence R_j through j = n+1.  The sum reads R as stored: each R_j
+    with j >= 1 is even, so the sum is, and it is halved once, exactly.
     """
-    half_r = [r >> 1 for r in big_v[: n + 2]]
     if not big:
         big.append(1)
     for m in range(len(big), n + 1):
         acc = 0
         for k in range(m):
-            acc = acc * (5 * k) + half_r[m + 1 - k] * big[k]
-        big.append(-acc)
+            acc = acc * (5 * k) + big_v[m + 1 - k] * big[k]
+        big.append(-(acc >> 1))
 
 
 MU = Table(lambda big, n: extend_mu(big, U.grown((n + 1) // 2), n),

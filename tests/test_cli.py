@@ -227,6 +227,12 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "asym", "vk", "--k", "-1", "--n", "5",
                   "--trunc", "1")[0] == 2
     assert invoke(capsys, "asym", "vk", "--n", "5", "--trunc", "1")[0] == 2
+    # a sector only vk reads
+    for name in ("u", "v"):
+        code, out, err = invoke(capsys, "asym", name, "--n", "5", "--trunc",
+                                "1", "--k", "7", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "argument --k: only for vk" in err
 
 
 def test_env_default_precision(capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import ast
 import functools
+import pathlib
 import pickle
 import random
 import threading
@@ -11,11 +13,43 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
                           mpf_pos, mpf_shift)
 
-from crosscap import exactnum
+import crosscap
+from crosscap import exactnum, extrapolation
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
                                SymConst, rational_to_float, round_sum)
 from crosscap.extrapolation import estimate_stokes
 from crosscap.sequences import p_of_g, t_of_g, u_seq, v_seq
+
+
+# an mpf's binary form and the library that makes it
+MPMATH_NAMES = {"mpmath", "_mpf_", "man_exp", "libmp"}
+
+
+def mpmath_touches(tree) -> list:
+    """(line, name) of each import of mpmath and each name, attribute or
+    string constant in ``MPMATH_NAMES`` in a module's syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module.split(".")[0]]
+        else:
+            names = [getattr(node, key, None) for key in ("id", "attr", "value")]
+        found += [(node.lineno, name) for name in names if name in MPMATH_NAMES]
+    return found
+
+
+def test_only_exactnum_imports_mpmath_or_reads_mpf_bits():
+    # every float command's mpmath touchpoints sit in one module
+    touched = {}
+    for path in sorted(pathlib.Path(crosscap.__file__).parent.glob("*.py")):
+        found = mpmath_touches(ast.parse(path.read_text("utf-8")))
+        if found:
+            touched[path.stem] = found
+    assert list(touched) == ["exactnum"], touched
+    assert crosscap.matched_digits is exactnum.matched_digits
+    assert extrapolation.matched_digits is exactnum.matched_digits
 
 
 def pell(steps: int) -> tuple:

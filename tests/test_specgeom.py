@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -156,6 +157,70 @@ class TestQuadrangulationCounts:
                     total[e] += a * powers[k][e - j]
         assert total == [0] * n
 
+
+def gluing_counts(n):
+    """{chi: rooted connected maps with n quartic vertices and Euler
+    characteristic chi}, by brute force over the real-symmetric Wick rule.
+
+    Vertex v is Tr M^4 = M_ab M_bc M_cd M_da: half-edges 4v..4v+3 in its
+    cyclic order, half-edge h = M_ij running from corner h (index i) to
+    corner next(h) (index j).  Every pairing of the 4n half-edges is glued
+    in every way, each pair M_ij M_kl untwisted (i = l, j = k) or twisted
+    (i = k, j = l).  The classes of corners are the index cycles, the F
+    faces, so chi = n - 2n + F.  A map with automorphism group G arises
+    from n! 8^n / |G| gluings (relabellings, rotations and reflections of
+    its vertices) and has 8n / |G| roots, so dividing by (n-1)! 8^(n-1)
+    counts rooted maps; every division must be exact.
+    """
+    nxt = [h - h % 4 + (h + 1) % 4 for h in range(4 * n)]
+    counts = Counter()
+
+    def glue(free, faces, nfaces, vertices):
+        # faces and vertices: a class label per corner and per vertex
+        h, rest = free[0], free[1:]
+        for i, k in enumerate(rest):
+            joined = [vertices[h // 4] if c == vertices[k // 4] else c
+                      for c in vertices]
+            links = (((h, nxt[k]), (nxt[h], k)), ((h, k), (nxt[h], nxt[k])))
+            if len(rest) == 1:  # the last pair: count without relabelling
+                if len(set(joined)) == 1:
+                    for (p, q), (r, s) in links:
+                        a, b, c, d = faces[p], faces[q], faces[r], faces[s]
+                        counts[nfaces - n - (a != b)
+                               - (c != d and {c, d} != {a, b})] += 1
+                return
+            left = rest[:i] + rest[i + 1:]
+            for (p, q), (r, s) in links:
+                labels, f = faces, nfaces
+                a, b = labels[p], labels[q]
+                if a != b:
+                    labels, f = [a if x == b else x for x in labels], f - 1
+                c, d = labels[r], labels[s]
+                if c != d:
+                    labels, f = [c if x == d else x for x in labels], f - 1
+                glue(left, labels, f, joined)
+
+    glue(tuple(range(4 * n)), list(range(4 * n)), 4 * n, list(range(n)))
+    scale = factorial(n - 1) * 8 ** (n - 1)
+    assert all(total % scale == 0 for total in counts.values()), counts
+    return {chi: total // scale for chi, total in counts.items()}
+
+
+class TestBruteForceOracle:
+    # rooted quadrangulations with n faces by chi: the dual maps' counts
+    TABLE = {1: {2: 2, 1: 5, 0: 5},
+             2: {2: 9, 1: 38, 0: 83, -1: 62},
+             3: {2: 54, 1: 331, 0: 1162, -1: 1924, -2: 1281}}
+
+    def test_counts_by_euler_characteristic(self):
+        counts = {n: gluing_counts(n) for n in self.TABLE}
+        assert counts == self.TABLE
+        # the projective plane's row is the quartic curve's, the sphere's
+        # Tutte's 2 3^n (2n)! / (n! (n+2)!)
+        assert [counts[n][1] for n in counts] == quadrangulation_counts(3)
+        assert all(counts[n][2] == Fraction(2 * 3 ** n * factorial(2 * n),
+                                            factorial(n) * factorial(n + 2))
+                   for n in counts)
 
 class TestLeadingConstant:
     """c_n ~ K 12^n n^(-5/4) with K = 2 p_{1/2} exactly: the singular
