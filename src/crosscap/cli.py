@@ -302,11 +302,11 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "seq" and args.name == "p" and args.n < 1:
-            parser.error("argument --n: must be at least 1 for p")
+            args.subparser.error("argument --n: must be at least 1 for p")
         if args.command == "asym" and args.name == "vk" and args.k is None:
-            parser.error("argument --k: required for vk")
+            args.subparser.error("argument --k: required for vk")
         if args.command == "asym" and args.name != "vk" and args.k is not None:
-            parser.error("argument --k: only for vk")
+            args.subparser.error("argument --k: only for vk")
         if args.prec is None:
             env = os.environ.get("CROSSCAP_PREC", str(DEFAULT_DPS))
             try:

@@ -110,14 +110,19 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
 
     c, p, q are integers, a is an integer or a half-integer and b > 0.  Each
     part becomes one integer, its value floored at a common binary exponent
-    about wp bits below the largest part, wp being 64 bits past dps, again
-    wider while the parts cancel more than 40 of them; the integers are
-    summed exactly and rounded once.  That exponent comes from the bit
-    lengths of p and q, not from the value p/q, so one value written two
-    ways (3/5 and 9/15) can be floored one exponent apart; the rounded sum
-    agrees unless the exact sum lies within about 2^-60 of a final-bit unit
-    of a rounding boundary (2^-27 at the most cancellation accepted, the
-    integer sum keeping at least 28 bits past the final precision).
+    by the keep-bits rule (``_round_window``): wp + 4 bits below the
+    largest part, wp being 64 bits past dps, again wider while the parts
+    cancel more than 40 of them; the integers are summed exactly and
+    rounded once.  That exponent comes from the bit lengths of p and q, not
+    from the value p/q, so one value written two ways (3/5 and 9/15) can be
+    floored one exponent apart; the rounded sum agrees unless the exact sum
+    lies within about 2^-60 of a final-bit unit of a rounding boundary
+    (2^-27 at the most cancellation accepted, the integer sum keeping at
+    least 28 bits past the final precision).  ``_round_run`` rounds a run
+    of windows by the same rule, each constant over the run's
+    denominators stepped from window to window within (i + 1) 2^-(wp+31)
+    relative after i windows, so its values agree with this function's
+    under the same bound.
 
     Constants with the same a and the same squarefree part of b are
     linearly dependent over Q, and their parts can sum to exactly 0, which
@@ -125,13 +130,9 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
     raises ``ValueError``, as does dps < 1.
     """
     _check_dps(dps)
-    import mpmath
     exact = [(const, p, q) for const, (p, q) in parts if p]
-    if not exact:
-        return mpmath.mp.make_mpf(mpmath.libmp.fzero)
-    prec, extra = _dps_to_prec(dps), 64
-    while True:
-        wp = prec + extra
+
+    def total_at(wp: int) -> tuple:
         # each part is below 2^(top + 1), and the largest at least 2^(top - 2)
         terms, top = [], None
         for const, p, q in exact:
@@ -145,6 +146,102 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
         for man, exp, p, q in terms:
             total += ((p * man << exp - low) // q if exp >= low
                       else p * man // (q << low - exp))
+        return total, low
+
+    return _round_window(total_at, exact, _dps_to_prec(dps), 64)[0]
+
+
+def _round_run(terms, d0: int, steps, dps: int = DEFAULT_DPS) -> list:
+    """The windows i = 0..k of a run, each rounded as ``round_sum`` rounds
+    the parts ((c, a, b), (x[i], d_i)) of the (const, x) ``terms``, every x
+    of length k + 1 and d_i = d0 steps[0] ... steps[i-1] with positive
+    integer steps: a list of ``mpmath.mpf``.
+
+    The keep-bits rule is ``round_sum``'s (``_round_window``); only the
+    parts' integers are found another way.  Each term holds
+    c pi^a sqrt(b) / d_i as a fixed-point integer R 2^e of W = wp + 32
+    bits, stepped to the next window by one division by the step, shifted
+    so that R keeps W bits, and recomputed from d_i only when a window
+    widens.  Each floor there loses under 2^-(W-1) of R, so after i steps R
+    is below the exact quotient by at most (i + 1) 2^-(W-1) relative: less
+    than the constant's own rounding, 2^-wp, for runs under 2^31 windows.
+    x[i] is read only down to 2^(low - e) / R, its lower bits moving the
+    part by under one unit of 2^low, and the product is floored once more,
+    so each part is within two units of 2^low, and the constant's error,
+    where ``round_sum``'s is within one: the values keep its contract,
+    agreeing with it unless the exact sum lies within about 2^-60 of a
+    final-bit unit of a rounding boundary (2^-27 at the most cancellation
+    accepted).
+
+    Each window starts at the width the previous window was accepted at,
+    so a row whose cancellation grows, as S_-1's high orders do, widens
+    about once per 40 bits of it instead of once per window.  A window
+    that cancels past its width widens, and its first widening checks for
+    an exact 0 and raises ``ValueError`` as ``round_sum``'s does; so does
+    dps < 1.
+    """
+    _check_dps(dps)
+    prec, extra = _dps_to_prec(dps), 64
+    width, recips, values = None, [], []
+    for i, x in enumerate(zip(*(xs for _, xs in terms))):
+        if i and recips:
+            # each R 2^e, c pi^a sqrt(b) / d_{i-1}, to / d_i, kept W bits wide
+            s = steps[i - 1]
+            stepped = []
+            for r, e in recips:
+                t = width - r.bit_length() + s.bit_length()
+                stepped.append(((r << t) // s, e - t))
+            recips = stepped
+
+        def total_at(wp: int) -> tuple:
+            nonlocal recips, width
+            if width != wp + 32:
+                width, d = wp + 32, prod(steps[:i], start=d0)
+                recips = []
+                for const, _ in terms:
+                    man, exp = _constant(*const, wp)
+                    t = width + d.bit_length() - man.bit_length()
+                    recips.append(((man << t) // d, exp - t))
+            # each term below 2^bits and at least 2^(bits - 2): top = bits - 1
+            top = max(xi.bit_length() + r.bit_length() + e
+                      for xi, (r, e) in zip(x, recips) if xi) - 1
+            low = top - wp - 4
+            total = 0
+            for xi, (r, e) in zip(x, recips):
+                if xi:
+                    # low - e > 0, R being wider than wp + 5 bits; the j bits
+                    # of xi below 2^(low - e) / R move it by under one unit
+                    shift = low - e
+                    j = max(0, shift - r.bit_length())
+                    total += (xi >> j) * r >> shift - j
+            return total, low
+
+        # the window's parts share d_i, so they sum to 0 as the xi do over 1
+        exact = [(const, xi, 1) for (const, _), xi in zip(terms, x) if xi]
+        value, extra = _round_window(total_at, exact, prec, extra)
+        values.append(value)
+    return values
+
+
+def _round_window(total_at, exact, prec: int, extra: int) -> tuple:
+    """The keep-bits rule both kernels share: one window of nonzero parts
+    (c pi^a sqrt(b), p, q) rounded to prec bits, and the extra bits it
+    was accepted at.  ``total_at(wp)`` floors each part at 2^low, low =
+    top - wp - 4 with the largest part near 2^top, and returns the exact
+    integer sum of the floors and low; wp is prec + extra.  A sum that
+    lost at most extra - 24 bits to cancellation keeps at least 28 bits
+    past prec and is rounded to nearest once; otherwise extra becomes
+    the bits lost plus 64, after the first widening has checked the
+    parts for an exact 0 (``_sums_to_zero``) and raised ``ValueError``
+    on one.
+    """
+    import mpmath
+    if not exact:
+        return mpmath.mp.make_mpf(mpmath.libmp.fzero), extra
+    first = True
+    while True:
+        wp = prec + extra
+        total, low = total_at(wp)
         # bits cancelled; a zero total lost them all (the exact sum of
         # nonzero parts is not 0)
         lost = wp + 4 - total.bit_length()
@@ -152,11 +249,12 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
             # from_man_exp's rounding, with the bit count taken directly
             man = mpmath.libmp.MPZ(abs(total))
             return mpmath.mp.make_mpf(mpmath.libmp.normalize(
-                int(total < 0), man, low, man.bit_length(), prec, "n"))
-        if extra == 64 and _sums_to_zero(exact):
+                int(total < 0), man, low, man.bit_length(), prec,
+                "n")), extra
+        if first and _sums_to_zero(exact):
             raise ValueError("the parts' constants are linearly dependent "
                              "over Q and the parts sum to exactly 0")
-        extra = lost + 64
+        first, extra = False, lost + 64
 
 
 def _nstr(x, dps: int) -> str:

@@ -13,16 +13,20 @@ and the N-th Richardson transform at n is the linear combination
 By parity s_n = 2 pi sqrt3 q_n and r_n = sqrt2 pi (n q_n) - n with q_n
 rational, and the sequence behind S_-1 is 2 pi sqrt3 L_n - 3 sqrt6 B_n with
 L_n, B_n rational.  By linearity each transform is a few constants times
-exact rational transforms, combined and rounded once (``round_sum``).  Each
-rational transform is one integer over the closed-form denominator of the
-window's last entry.  The transforms of crosscap's own sequences build it
-from the tables' stored integers (``_probe`` describes each probe): a
-single window by Horner's rule (``sequences._horner``, ``_parts``), a
-row's run of windows by N forward-difference passes over the whole run
-(``_run_parts``).  S_-1's integers are closed forms at each index, so a
-window or a run reads them at its own indices only, from one per-index
-store each (``transseries._ROW2_AT`` and ``_BRACES_AT``): a single window
-grows nu and w through its end, rows 2 and 3 through half of it.
+exact rational transforms, combined and rounded once.  Each rational
+transform is one integer over the closed-form denominator of the window's
+last entry.  The transforms of crosscap's own sequences build it from the
+tables' stored integers (``_probe`` describes each probe): a single window
+by Horner's rule (``sequences._horner``, ``_parts``), rounded by
+``round_sum``; a row's run of windows by N forward-difference passes over
+the whole run (``_run_parts``), rounded by one run kernel
+(``exactnum._round_run``), which steps each constant over the run's
+denominators by one small division per window and reads each integer
+only to the bits it keeps.  S_-1's integers are closed forms at each
+index, so a window or a run reads them at its own indices only, from one
+per-index store each (``transseries._ROW2_AT`` and ``_BRACES_AT``): a
+single window grows nu and w through its end, rows 2 and 3 through half
+of it.
 ``richardson`` sums user float data exactly as given, each value p / 2^e
 over the window's largest 2^E.
 """
@@ -30,10 +34,12 @@ over the window's largest 2^E.
 from __future__ import annotations
 
 import warnings
+from itertools import accumulate
 from math import comb, factorial, perm
+from operator import mul
 
 from .exactnum import (DEFAULT_DPS, _check_dps, _mpf_ratio, _nstr, _Record,
-                       matched_digits, round_sum)
+                       _round_run, matched_digits, round_sum)
 from .sequences import V, Table, _AtIndex, _horner
 from .transseries import _ROW2_AT, _row
 
@@ -154,9 +160,10 @@ def _probe(which: str) -> tuple:
     raise ValueError(f"unknown probe {which!r}")
 
 
-def _m_part(order: int, n: int) -> tuple:
-    """-1 times the order-N transform of m itself, (N+1)(2n+N)/2."""
-    return (-1, 0, 1), ((order + 1) * (2 * n + order), 2)
+def _m_part(order: int, n: int) -> int:
+    """The order-N transform of m itself, (N+1)(2n+N)/2, an integer: one
+    of N + 1 and 2n + N is even."""
+    return (order + 1) * (2 * n + order) // 2
 
 
 def _parts(which: str, order: int, n: int) -> list:
@@ -170,16 +177,21 @@ def _parts(which: str, order: int, n: int) -> list:
     d = factorial(order) * den(top)
     parts = [(const, (_horner(weights, ints(n, top), n, step), d))
              for const, ints in terms]
-    return parts + [_m_part(order, n)] if which == "r" else parts
+    if which == "r":
+        parts.append(((-1, 0, 1), (_m_part(order, n), 1)))
+    return parts
 
 
-def _run_parts(which: str, order: int, n0: int, n1: int):
-    """The ``_parts`` of every n in n0..n1, in order, by N = order forward
-    differences: the transform is Delta^N [m^N x_m] / N!.  Each term's run
-    x_m = X_m / d_m, m = n0..n1+N, is scaled to its integers (with the
-    weights' sign and power); pass p maps entry i to
-    a[i+1] - step(n0+i+p+1) a[i], so entry i ends as the same integer over
-    d_{n0+i+N} that ``_parts`` builds, stepped from d_{n0+N}.  Cheaper than
+def _run_parts(which: str, order: int, n0: int, n1: int) -> tuple:
+    """The transforms at n = n0..n1 as ``exactnum._round_run`` reads them:
+    (terms, d0, steps), window i the terms' entries i over
+    d_i = d0 steps[0] ... steps[i-1], the denominator ``_parts`` builds at
+    n0 + i.  Built by N = order forward differences: the transform is
+    Delta^N [m^N x_m] / N!.  Each term's run x_m = X_m / d_m,
+    m = n0..n1+N, is scaled to its integers (with the weights' sign and
+    power); pass p maps entry i to a[i+1] - step(n0+i+p+1) a[i], so entry
+    i ends as the same integer over d_{n0+i+N} that ``_parts`` builds.
+    r's term -m is its closed form ``_m_part`` times d_i.  Cheaper than
     ``_parts`` per window once a run passes about N/2; built as read."""
     step, den, sign, power, terms = _probe(which)
     top = n1 + order
@@ -192,12 +204,12 @@ def _run_parts(which: str, order: int, n0: int, n1: int):
         for p in range(order):
             a = [hi - s * lo for hi, s, lo in zip(a[1:], steps[p:], a)]
         runs.append((const, a))
-    d = factorial(order) * den(n0 + order)
-    for i, n in enumerate(range(n0, n1 + 1)):
-        if i:
-            d *= steps[order + i - 1]
-        parts = [(const, (a[i], d)) for const, a in runs]
-        yield parts + [_m_part(order, n)] if which == "r" else parts
+    d0, steps = factorial(order) * den(n0 + order), steps[order:]
+    if which == "r":
+        runs.append(((-1, 0, 1), [
+            _m_part(order, n) * d for n, d in
+            zip(range(n0, n1 + 1), accumulate(steps, mul, initial=d0))]))
+    return runs, d0, steps
 
 
 # The rounded transforms behind convergence_rows and their plot text, one
@@ -212,8 +224,8 @@ def _rows(which: str, order: int, dps: int) -> Table:
     table = _TRANSFORM_ROWS.get((which, order, dps))
     if table is None:
         def grow(rows: list, n: int) -> None:
-            rows.extend(round_sum(parts, dps) for parts in
-                        _run_parts(which, order, len(rows) + 1, n + 1))
+            rows.extend(_round_run(
+                *_run_parts(which, order, len(rows) + 1, n + 1), dps))
         table = _TRANSFORM_ROWS.setdefault(
             (which, order, dps), Table(grow, lambda x, m: _nstr(x, dps)))
     return table

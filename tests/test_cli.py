@@ -223,16 +223,22 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "asym", "v", "--n", "0", "--trunc", "0")[0] == 2
     assert invoke(capsys, "asym", "v", "--n", "3", "--trunc", "-1")[0] == 2
     assert invoke(capsys, "quad", "--n", "0")[0] == 2
-    assert invoke(capsys, "seq", "p", "--n", "0")[0] == 2
     assert invoke(capsys, "asym", "vk", "--k", "-1", "--n", "5",
                   "--trunc", "1")[0] == 2
-    assert invoke(capsys, "asym", "vk", "--n", "5", "--trunc", "1")[0] == 2
+    # the checks after parsing report through the subcommand's usage
+    checked = [(("seq", "p", "--n", "0"), "seq",
+                "argument --n: must be at least 1 for p"),
+               (("asym", "vk", "--n", "5", "--trunc", "1"), "asym",
+                "argument --k: required for vk")]
     # a sector only vk reads
-    for name in ("u", "v"):
-        code, out, err = invoke(capsys, "asym", name, "--n", "5", "--trunc",
-                                "1", "--k", "7", "--format", "json")
-        assert (code, out) == (2, "")
-        assert "argument --k: only for vk" in err
+    checked += [(("asym", name, "--n", "5", "--trunc", "1", "--k", "7",
+                  "--format", "json"), "asym", "argument --k: only for vk")
+                for name in ("u", "v")]
+    for argv, command, message in checked:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"usage: crosscap {command} [-h]"), argv
+        assert f"crosscap {command}: error: {message}\n" in err, argv
 
 
 def test_env_default_precision(capsys, monkeypatch):

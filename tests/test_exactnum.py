@@ -16,7 +16,8 @@ from mpmath.libmp import (dps_to_prec, from_rational, fzero, mpf_add, mpf_mul,
 import crosscap
 from crosscap import exactnum, extrapolation
 from crosscap.exactnum import (QF3, SQRT3, GammaPoleError, SymbolicConstantError,
-                               SymConst, rational_to_float, round_sum)
+                               SymConst, _round_run, rational_to_float,
+                               round_sum)
 from crosscap.extrapolation import estimate_stokes
 from crosscap.sequences import p_of_g, t_of_g, u_seq, v_seq
 
@@ -411,6 +412,79 @@ def test_round_sum_matches_the_mpf_kernel(consts, ratios, cancel, dps):
         parts.append((const, ((-p << shift) + tiny, q << shift)))
     got = round_sum(parts, dps)
     assert got._mpf_ == reference_round_sum(parts, dps)._mpf_
+
+
+def window_parts(terms, d0, steps, i):
+    """Window i of a ``_round_run`` run as ``round_sum`` parts."""
+    d = d0
+    for step in steps[:i]:
+        d *= step
+    return [(const, (x[i], d)) for const, x in terms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       consts=st.lists(constants, min_size=1, max_size=3,
+                       unique_by=lambda c: (c[1], 2 if c[2] == 18 else c[2])),
+       windows=st.integers(1, 8), d0=st.integers(1, 10 ** 300),
+       dps=st.integers(30, 400))
+def test_run_kernel_matches_round_sum_per_window(data, consts, windows, d0,
+                                                 dps):
+    # the first constant's numerators twice, the second time negated and
+    # nudged by a tiny one 40-2000 bits below them, and the other
+    # constants' numerators as small as the tiny ones: each window cancels
+    # by about that many bits, and one whose tiny and small numerators are
+    # all 0 sums to exactly 0.  The tiny numerators are wider than the
+    # widest rounding, as a row's are, so the kernel reads only their top.
+    steps = data.draw(st.lists(st.integers(1, 10 ** 4), min_size=windows - 1,
+                               max_size=windows - 1))
+    cancels = data.draw(st.lists(st.integers(40, 2000), min_size=windows,
+                                 max_size=windows))
+    small = st.integers(-2 ** 3000, 2 ** 3000)
+    big = [data.draw(st.integers(2 ** 2999, 2 ** 3000)) * data.draw(
+        st.sampled_from([1, -1])) << cancel for cancel in cancels]
+    tiny = data.draw(st.lists(small, min_size=windows, max_size=windows))
+    terms = [(consts[0], big),
+             (consts[0], [t - b for b, t in zip(big, tiny)])]
+    terms += [(const, data.draw(st.lists(small, min_size=windows,
+                                         max_size=windows)))
+              for const in consts[1:]]
+    want = []
+    for i in range(windows):
+        try:
+            want.append(round_sum(window_parts(terms, d0, steps, i), dps)._mpf_)
+        except ValueError:
+            # the windows before it still round alone
+            with pytest.raises(ValueError):
+                _round_run(terms, d0, steps, dps)
+            break
+    got = _round_run([(const, x[:len(want)]) for const, x in terms], d0,
+                     steps, dps)
+    assert [value._mpf_ for value in got] == want
+
+
+def test_run_kernel_rejects_a_window_that_sums_to_zero():
+    # 3 sqrt2 - sqrt18 = 0 exactly: right after a window that cancelled
+    # 2000 bits and widened, and alone; it must not widen forever
+    terms = [((1, 0, 2), [3 << 2000, 3]), ((1, 0, 18), [1 - (1 << 2000), -1])]
+    outcome = []
+
+    def run():
+        for first in (0, 1):
+            try:
+                _round_run([(const, x[first:]) for const, x in terms],
+                           7, [11][first:], 60)
+            except ValueError:
+                outcome.append(first)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and outcome == [0, 1]
+    got = _round_run([(const, x[:1]) for const, x in terms], 7, [], 60)
+    assert got[0]._mpf_ == round_sum(window_parts(terms, 7, [], 0), 60)._mpf_
+    assert [value._mpf_ for value in
+            _round_run([((1, 0, 2), [0, 0])], 7, [11], 60)] == [fzero] * 2
 
 
 def test_round_sum_rejects_dependent_parts_that_sum_to_zero():

@@ -42,7 +42,7 @@ from hypothesis import given, settings, strategies as st
 
 from crosscap import cli, extrapolation, sequences, specgeom, transseries
 from crosscap.asymptotics import asym_u, asym_v, asym_vk
-from crosscap.exactnum import QF3, SymConst, round_sum
+from crosscap.exactnum import QF3, SymConst, _round_run, round_sum
 from crosscap.extrapolation import (FloatSeq, PrecisionWarning, _lead_den,
                                     _lead_step, _parts, _q_den, _q_step,
                                     _run_parts, convergence_rows,
@@ -758,12 +758,20 @@ def test_probe_closed_forms():
 @pytest.mark.parametrize("which", ["s", "r", "sminus1"])
 def test_run_kernel_matches_window_kernel(which):
     # every n in 1..300, in the runs a row grown to 40, then 97, then 300
-    # builds: the forward differences give the Horner sums' integers
+    # builds: the forward differences give the Horner sums' integers over
+    # the same stepped denominators (r's -m, an integer there, times d_i)
     for order in (0, 1, 5, 10, 30):
         for n0, n1 in ((1, 40), (41, 97), (98, 300)):
-            assert list(_run_parts(which, order, n0, n1)) == \
-                [_parts(which, order, n) for n in range(n0, n1 + 1)], \
-                (order, n0, n1)
+            terms, d, steps = _run_parts(which, order, n0, n1)
+            assert len(steps) == n1 - n0
+            for i, n in enumerate(range(n0, n1 + 1)):
+                d *= steps[i - 1] if i else 1
+                parts = _parts(which, order, n)
+                assert [const for const, _ in terms] == \
+                    [const for const, _ in parts], (order, n)
+                for (_, x), (_, (p, q)) in zip(terms, parts):
+                    assert (x[i], d) == (p, q) or (x[i], q) == (p * d, 1), \
+                        (order, n)
 
 
 def test_integers_from_the_tables_to_round_sum():
@@ -826,7 +834,7 @@ def test_transform_rows_match_direct_rounding():
 def test_transform_row_hit_rounds_nothing():
     with fresh_caches():
         rows = convergence_rows("s", 40, (0, 1, 5), 60)
-        with patch.object(extrapolation, "round_sum",
+        with patch.object(extrapolation, "_round_run",
                           side_effect=AssertionError("rounded again")):
             assert convergence_rows("s", 40, (0, 1, 5), 60) == rows
             assert convergence_rows("s", 25, (5, 0), 60) == \
@@ -836,10 +844,16 @@ def test_transform_row_hit_rounds_nothing():
 def test_growing_rows_rounds_only_the_new_values():
     with fresh_caches():
         convergence_rows("r", 40, (0, 1, 5), 60)
-        with patch.object(extrapolation, "round_sum",
-                          wraps=round_sum) as counted:
+        rounded = []
+
+        def counted(*args):
+            values = _round_run(*args)
+            rounded.extend(values)
+            return values
+
+        with patch.object(extrapolation, "_round_run", counted):
             convergence_rows("r", 60, (0, 1, 5), 60)
-        assert counted.call_count == 20 * 3
+        assert len(rounded) == 20 * 3
 
 
 @pytest.mark.parametrize("args", [("s", 0, (0, 1), 40),
@@ -1123,7 +1137,7 @@ def test_rejected_plotdata_creates_no_text_table(argv, capsys):
 def test_plotdata_after_rows_prints_the_cached_rounding():
     with fresh_caches():
         convergence_rows("r", 40, (0, 1, 5), 60)
-        with patch.object(extrapolation, "round_sum",
+        with patch.object(extrapolation, "_round_run",
                           side_effect=AssertionError("rounded again")):
             text = plot_request("firstcorr", 40, 60)
         assert text == plot_reference("firstcorr", 40, 60, "csv")
