@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .exactnum import (DEFAULT_DPS, SymbolicConstantError, _nstr,
                        rational_to_float)
-from .sequences import intersection_number, p_of_g, t_of_g, u_seq, v_seq
+from .sequences import P, T, intersection_number, u_seq, v_seq
 from .transseries import mu_seq, nu_seq, vk_table, vpm_series
 from .asymptotics import asym_u, asym_vk, relative_error
 from .extrapolation import _rows, estimate_stokes, probe_richardson
@@ -166,12 +166,14 @@ def _emit(args, header, rows, values=None, lines=None, precision=None,
 def _cmd_seq(args, dps: int) -> None:
     name, n = args.name, args.n
     fdps = args.float_dps
-    if name == "t":
-        xs = [t_of_g(g) for g in range(n + 1)]
-    elif name == "p":
-        xs = [p_of_g(twog) for twog in range(1, n + 1)]
+    if name in ("t", "p"):
+        # the tables print each SymConst once, under the lifted digit limit
+        table, top = (T, n) if name == "t" else (P, n - 1)
+        exact = table.upto(top)
+        xs = table.grown(top)[:top + 1]
     else:
         xs = {"u": u_seq, "v": v_seq, "mu": mu_seq, "nu": nu_seq}[name](n)
+        exact = [str(x) for x in xs]
 
     def flt(x) -> str:
         try:
@@ -181,7 +183,6 @@ def _cmd_seq(args, dps: int) -> None:
             return ""
 
     index = range(1, n + 1) if name == "p" else range(n + 1)
-    exact = [str(x) for x in xs]
     params = {"name": name, "n": n}
     if fdps:
         floats = [flt(x) for x in xs]

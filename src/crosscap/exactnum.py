@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import isqrt, prod
+from operator import add
 
 DEFAULT_DPS = 200
 
@@ -103,6 +104,20 @@ def _constant(c: int, a, b: int, prec: int) -> tuple:
     return -man if sign else man, exp
 
 
+@functools.cache
+def _libmp() -> tuple:
+    """mpmath's MPZ, normalize and make_mpf, imported on first use and held,
+    so that rounding a window runs no import statement."""
+    import mpmath
+    return mpmath.libmp.MPZ, mpmath.libmp.normalize, mpmath.mp.make_mpf
+
+
+def _mpf_zero():
+    """The mpf 0, the sum of no nonzero parts."""
+    import mpmath
+    return mpmath.mp.make_mpf(mpmath.libmp.fzero)
+
+
 def round_sum(parts, dps: int = DEFAULT_DPS):
     """The sum of c pi^a sqrt(b) p/q over the ((c, a, b), (p, q)) ``parts``,
     rounded once to dps digits, within 10^(1 - dps) relative, as an
@@ -110,7 +125,7 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
 
     c, p, q are integers, a is an integer or a half-integer and b > 0.  Each
     part becomes one integer, its value floored at a common binary exponent
-    by the keep-bits rule (``_round_window``): wp + 4 bits below the
+    by the keep-bits rule (``_round_at``): wp + 4 bits below the
     largest part, wp being 64 bits past dps, again wider while the parts
     cancel more than 40 of them; the integers are summed exactly and
     rounded once.  That exponent comes from the bit lengths of p and q, not
@@ -131,6 +146,8 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
     """
     _check_dps(dps)
     exact = [(const, p, q) for const, (p, q) in parts if p]
+    if not exact:
+        return _mpf_zero()
 
     def total_at(wp: int) -> tuple:
         # each part is below 2^(top + 1), and the largest at least 2^(top - 2)
@@ -148,113 +165,211 @@ def round_sum(parts, dps: int = DEFAULT_DPS):
                       else p * man // (q << low - exp))
         return total, low
 
-    return _round_window(total_at, exact, _dps_to_prec(dps), 64)[0]
+    prec = _dps_to_prec(dps)
+    value, extra = _round_at(*total_at(prec + 64), prec, 64)
+    if value is None:
+        value = _round_window(total_at, exact, prec, extra)[0]
+    return value
 
 
-def _round_run(terms, d0: int, steps, dps: int = DEFAULT_DPS) -> list:
+def _round_run(terms, d0: int, steps, dps: int = DEFAULT_DPS,
+               whole=()) -> list:
     """The windows i = 0..k of a run, each rounded as ``round_sum`` rounds
-    the parts ((c, a, b), (x[i], d_i)) of the (const, x) ``terms``, every x
-    of length k + 1 and d_i = d0 steps[0] ... steps[i-1] with positive
-    integer steps: a list of ``mpmath.mpf``.
+    the parts ((c, a, b), (x[i], d_i)) of the (const, x) ``terms`` and the
+    parts ((c, a, b), (y[i], 1)) of the (const, y) terms ``whole``, every x
+    and y of length k + 1 and d_i = d0 steps[0] ... steps[i-1] with
+    positive integer steps: a list of ``mpmath.mpf``.
 
-    The keep-bits rule is ``round_sum``'s (``_round_window``); only the
-    parts' integers are found another way.  Each term holds
-    c pi^a sqrt(b) / d_i as a fixed-point integer R 2^e of W = wp + 32
-    bits, stepped to the next window by one division by the step, shifted
-    so that R keeps W bits, and recomputed from d_i only when a window
-    widens.  Each floor there loses under 2^-(W-1) of R, so after i steps R
-    is below the exact quotient by at most (i + 1) 2^-(W-1) relative: less
-    than the constant's own rounding, 2^-wp, for runs under 2^31 windows.
-    x[i] is read only down to 2^(low - e) / R, its lower bits moving the
-    part by under one unit of 2^low, and the product is floored once more,
-    so each part is within two units of 2^low, and the constant's error,
-    where ``round_sum``'s is within one: the values keep its contract,
-    agreeing with it unless the exact sum lies within about 2^-60 of a
-    final-bit unit of a rounding boundary (2^-27 at the most cancellation
-    accepted).
+    The keep-bits rule is ``round_sum``'s (``_round_at``,
+    ``_round_window``); only the parts' integers are found another way.
+    Each term of ``terms`` holds c pi^a sqrt(b) / d_i as a fixed-point
+    integer R 2^e of W = wp + 32 bits, with its bit length, stepped to the
+    next window by one division by the step, shifted so that R keeps W
+    bits, and recomputed from d_i only when a window widens.  Each floor
+    there loses under 2^-(W-1) of R, so after i steps R is below the exact
+    quotient by at most (i + 1) 2^-(W-1) relative: less than the
+    constant's own rounding, 2^-wp, for runs under 2^31 windows.  x[i] is
+    read only down to 2^(low - e) / R, its lower bits moving the part by
+    under one unit of 2^low, and the product is floored once more, so each
+    part is within two units of 2^low, and the constant's error, where
+    ``round_sum``'s is within one: the values keep its contract, agreeing
+    with it unless the exact sum lies within about 2^-60 of a final-bit
+    unit of a rounding boundary (2^-27 at the most cancellation accepted).
+    A part of ``whole`` is floored at 2^low exactly, as ``round_sum``
+    floors it.
 
-    Each window starts at the width the previous window was accepted at,
-    so a row whose cancellation grows, as S_-1's high orders do, widens
-    about once per 40 bits of it instead of once per window.  A window
-    that cancels past its width widens, and its first widening checks for
-    an exact 0 and raises ``ValueError`` as ``round_sum``'s does; so does
-    dps < 1.
+    Windows are floored ``_BLOCK`` at a time, the stepping, the bit counts
+    and the floors each one pass over the block (``_run_floors``), so that
+    a window accepted at its first width is then only tested and rounded;
+    d_i, its parts as (const, p, q) and the exact-0 check are built only
+    for a window that widens.  Each window starts at the width the
+    previous window was accepted at, so a row whose cancellation grows, as
+    S_-1's high orders do, widens about once per 40 bits of it instead of
+    once per window; a widened window and the rest of its block are
+    floored again at the width it was accepted at.  A window's first
+    widening checks for an exact 0 and raises ``ValueError`` as
+    ``round_sum``'s does; so does dps < 1.
     """
     _check_dps(dps)
     prec, extra = _dps_to_prec(dps), 64
-    width, recips, values = None, [], []
-    for i, x in enumerate(zip(*(xs for _, xs in terms))):
-        if i and recips:
-            # each R 2^e, c pi^a sqrt(b) / d_{i-1}, to / d_i, kept W bits wide
-            s = steps[i - 1]
-            stepped = []
-            for r, e in recips:
-                t = width - r.bit_length() + s.bit_length()
-                stepped.append(((r << t) // s, e - t))
-            recips = stepped
+    consts = [const for const, _ in terms]
+    whole_consts = [const for const, _ in whole]
+    columns = [xs for _, xs in terms] + [ys for _, ys in whole]
+    size = min(map(len, columns), default=0)
+    recips, fixed = _reciprocals(consts, whole_consts, d0, prec + extra)
+    values, i = [], 0
+    while i < size:
+        end = min(i + _BLOCK, size)
+        totals, lows, ahead = _run_floors(columns, i, end, recips, fixed,
+                                          steps, prec + extra)
+        for total, low in zip(totals, lows):
+            value, widened = ((_mpf_zero(), extra) if low is None
+                              else _round_at(total, low, prec, extra))
+            if value is None:
+                break
+            values.append(value)
+        else:
+            i, recips = end, ahead
+            continue
+        # the first window not rounded cancelled past its width: widen it,
+        # then floor it and the rest of its block again at the width it was
+        # accepted at
+        i = len(values)
+        d = prod(steps[:i], start=d0)
 
         def total_at(wp: int) -> tuple:
-            nonlocal recips, width
-            if width != wp + 32:
-                width, d = wp + 32, prod(steps[:i], start=d0)
-                recips = []
-                for const, _ in terms:
-                    man, exp = _constant(*const, wp)
-                    t = width + d.bit_length() - man.bit_length()
-                    recips.append(((man << t) // d, exp - t))
-            # each term below 2^bits and at least 2^(bits - 2): top = bits - 1
-            top = max(xi.bit_length() + r.bit_length() + e
-                      for xi, (r, e) in zip(x, recips) if xi) - 1
-            low = top - wp - 4
-            total = 0
-            for xi, (r, e) in zip(x, recips):
-                if xi:
-                    # low - e > 0, R being wider than wp + 5 bits; the j bits
-                    # of xi below 2^(low - e) / R move it by under one unit
-                    shift = low - e
-                    j = max(0, shift - r.bit_length())
-                    total += (xi >> j) * r >> shift - j
-            return total, low
+            nonlocal recips, fixed
+            recips, fixed = _reciprocals(consts, whole_consts, d, wp)
+            totals, lows, _ = _run_floors(columns, i, i + 1, recips, fixed,
+                                          steps, wp)
+            return totals[0], lows[0]
 
-        # the window's parts share d_i, so they sum to 0 as the xi do over 1
-        exact = [(const, xi, 1) for (const, _), xi in zip(terms, x) if xi]
-        value, extra = _round_window(total_at, exact, prec, extra)
-        values.append(value)
+        x = [column[i] for column in columns]
+        exact = ([(c, xi, d) for c, xi in zip(consts, x) if xi]
+                 + [(c, yi, 1) for c, yi in zip(whole_consts, x[len(consts):])
+                    if yi])
+        extra = _round_window(total_at, exact, prec, widened)[1]
     return values
 
 
+# Windows a run floors in one pass: a window that widens floors the rest of
+# its block again, so a small block bounds that waste, and a large one
+# spreads each pass's fixed cost.
+_BLOCK = 32
+
+# The bits of a part that is 0: below every other part's.
+_NO_PART = float("-inf")
+
+
+def _reciprocals(consts, whole_consts, d: int, wp: int) -> tuple:
+    """A run's constants c pi^a sqrt(b) at wp bits: those of ``consts``
+    over d as (R, e, bits of R), R 2^e of W = wp + 32 bits below the
+    quotient by under 2^-(W-1) relative, and those of ``whole_consts`` as
+    ``round_sum`` holds them, (man, exp, bits of man), fixed for the
+    run."""
+    recips = []
+    for const in consts:
+        man, exp = _constant(*const, wp)
+        t = wp + 32 + d.bit_length() - man.bit_length()
+        r = (man << t) // d
+        recips.append((r, exp - t, r.bit_length()))
+    fixed = []
+    for const in whole_consts:
+        man, exp = _constant(*const, wp)
+        fixed.append((man, exp, man.bit_length()))
+    return recips, fixed
+
+
+def _run_floors(columns, i: int, end: int, recips, fixed, steps,
+                wp: int) -> tuple:
+    """Windows i..end-1 of a run, each window's parts floored at 2^low by
+    the keep-bits rule, low = top - wp - 4, and summed: (totals, lows,
+    ahead), a low of None where every numerator is 0.  The columns over
+    d_i start from ``recips`` (``_reciprocals``) at window i and are
+    stepped by ``steps`` window by window, each R kept W = wp + 32 bits
+    wide; ``ahead`` is where they stand after the block's last step, at
+    window ``end`` when the steps reach it.  The columns after them are
+    over 1, floored exactly with ``fixed``."""
+    width = wp + 32
+    runs, ahead = [], []
+    for (r, e, rbits), column in zip(recips, columns):
+        rs, es, rbs = [r], [e], [rbits]
+        for s in steps[i:end]:
+            # R 2^e, c pi^a sqrt(b) / d_m, to / d_{m+1}, kept W bits wide
+            t = width - rbits + s.bit_length()
+            r = (r << t) // s
+            e -= t
+            rbits = r.bit_length()
+            rs.append(r)
+            es.append(e)
+            rbs.append(rbits)
+        ahead.append((r, e, rbits))
+        runs.append((column[i:end], rs, es, rbs))
+    wholes = [(column[i:end], *held)
+              for column, held in zip(columns[len(recips):], fixed)]
+    # each part below 2^bits and at least 2^(bits - 2); the largest part's
+    # bits are high, and top = high - 1
+    highs = None
+    for xs, _, es, rbs in runs:
+        bits = [xi.bit_length() + rbits + e if xi else _NO_PART
+                for xi, e, rbits in zip(xs, es, rbs)]
+        highs = bits if highs is None else list(map(max, highs, bits))
+    for ys, _, exp, mbits in wholes:
+        bits = [yi.bit_length() + mbits + exp if yi else _NO_PART
+                for yi in ys]
+        highs = bits if highs is None else list(map(max, highs, bits))
+    lows = [None if high == _NO_PART else high - wp - 5 for high in highs]
+    totals = None
+    for xs, rs, es, rbs in runs:
+        # low - e > 0, R being wider than wp + 5 bits; the j bits of xi
+        # below 2^(low - e) / R move it by under one unit
+        floors = [((xi >> j) * r >> rbits if (j := low - e - rbits) > 0
+                   else xi * r >> low - e) if xi else 0
+                  for xi, r, e, rbits, low in zip(xs, rs, es, rbs, lows)]
+        totals = floors if totals is None else list(map(add, totals, floors))
+    for ys, man, exp, _ in wholes:
+        floors = [(yi * man << exp - low if exp >= low
+                   else yi * man >> low - exp) if yi else 0
+                  for yi, low in zip(ys, lows)]
+        totals = floors if totals is None else list(map(add, totals, floors))
+    return totals, lows, ahead
+
+
+def _round_at(total: int, low: int, prec: int, extra: int) -> tuple:
+    """The keep-bits rule's accept test, which both kernels share: a window
+    whose parts, floored at 2^low with wp = prec + extra, sum to ``total``
+    is rounded once to prec bits if it lost at most extra - 24 bits to
+    cancellation, keeping at least 28 bits past prec: (value, extra).
+    Otherwise (None, lost + 64), the extra bits to widen to
+    (``_round_window``)."""
+    # bits cancelled; a zero total lost them all (the exact sum of nonzero
+    # parts is not 0)
+    lost = prec + extra + 4 - total.bit_length()
+    if lost > extra - 24:
+        return None, lost + 64
+    # from_man_exp's rounding, with the bit count taken directly
+    mpz, normalize, make_mpf = _libmp()
+    man = mpz(abs(total))
+    return make_mpf(normalize(int(total < 0), man, low, man.bit_length(),
+                              prec, "n")), extra
+
+
 def _round_window(total_at, exact, prec: int, extra: int) -> tuple:
-    """The keep-bits rule both kernels share: one window of nonzero parts
-    (c pi^a sqrt(b), p, q) rounded to prec bits, and the extra bits it
-    was accepted at.  ``total_at(wp)`` floors each part at 2^low, low =
-    top - wp - 4 with the largest part near 2^top, and returns the exact
-    integer sum of the floors and low; wp is prec + extra.  A sum that
-    lost at most extra - 24 bits to cancellation keeps at least 28 bits
-    past prec and is rounded to nearest once; otherwise extra becomes
-    the bits lost plus 64, after the first widening has checked the
-    parts for an exact 0 (``_sums_to_zero``) and raised ``ValueError``
-    on one.
-    """
-    import mpmath
-    if not exact:
-        return mpmath.mp.make_mpf(mpmath.libmp.fzero), extra
-    first = True
-    while True:
-        wp = prec + extra
-        total, low = total_at(wp)
-        # bits cancelled; a zero total lost them all (the exact sum of
-        # nonzero parts is not 0)
-        lost = wp + 4 - total.bit_length()
-        if lost <= extra - 24:
-            # from_man_exp's rounding, with the bit count taken directly
-            man = mpmath.libmp.MPZ(abs(total))
-            return mpmath.mp.make_mpf(mpmath.libmp.normalize(
-                int(total < 0), man, low, man.bit_length(), prec,
-                "n")), extra
-        if first and _sums_to_zero(exact):
-            raise ValueError("the parts' constants are linearly dependent "
-                             "over Q and the parts sum to exactly 0")
-        first, extra = False, lost + 64
+    """The keep-bits rule's widening, which both kernels share, for a
+    window of nonzero parts (c pi^a sqrt(b), p, q) whose first try
+    ``_round_at`` did not accept: it checks the parts for an exact 0
+    (``_sums_to_zero``) and raises ``ValueError`` on one, then floors them
+    again at ``total_at(prec + extra)``, extra the bits ``_round_at`` asked
+    for, until accepted.  ``total_at(wp)`` returns the exact integer sum of
+    the parts floored at 2^low, low = top - wp - 4 with the largest part
+    near 2^top, and low.  Returns (value, extra) as ``_round_at`` does."""
+    if _sums_to_zero(exact):
+        raise ValueError("the parts' constants are linearly dependent "
+                         "over Q and the parts sum to exactly 0")
+    value = None
+    while value is None:
+        value, extra = _round_at(*total_at(prec + extra), prec, extra)
+    return value, extra
 
 
 def _nstr(x, dps: int) -> str:

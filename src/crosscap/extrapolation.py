@@ -21,8 +21,9 @@ by Horner's rule (``sequences._horner``, ``_parts``), rounded by
 ``round_sum``; a row's run of windows by N forward-difference passes over
 the whole run (``_run_parts``), rounded by one run kernel
 (``exactnum._round_run``), which steps each constant over the run's
-denominators by one small division per window and reads each integer
-only to the bits it keeps.  S_-1's integers are closed forms at each
+denominators by one small division per window, reads each integer only
+to the bits it keeps, and adds r's term -m, an integer at each window,
+exactly.  S_-1's integers are closed forms at each
 index, so a window or a run reads them at its own indices only, from one
 per-index store each (``transseries._ROW2_AT`` and ``_BRACES_AT``): a
 single window grows nu and w through its end, rows 2 and 3 through half
@@ -34,9 +35,7 @@ over the window's largest 2^E.
 from __future__ import annotations
 
 import warnings
-from itertools import accumulate
 from math import comb, factorial, perm
-from operator import mul
 
 from .exactnum import (DEFAULT_DPS, _check_dps, _mpf_ratio, _nstr, _Record,
                        _round_run, matched_digits, round_sum)
@@ -162,7 +161,9 @@ def _probe(which: str) -> tuple:
 
 def _m_part(order: int, n: int) -> int:
     """The order-N transform of m itself, (N+1)(2n+N)/2, an integer: one
-    of N + 1 and 2n + N is even."""
+    of N + 1 and 2n + N is even.  r's term -m transforms to this integer
+    times the constant -1, a part over 1 in ``_parts`` and ``_run_parts``
+    that both kernels floor exactly."""
     return (order + 1) * (2 * n + order) // 2
 
 
@@ -184,15 +185,17 @@ def _parts(which: str, order: int, n: int) -> list:
 
 def _run_parts(which: str, order: int, n0: int, n1: int) -> tuple:
     """The transforms at n = n0..n1 as ``exactnum._round_run`` reads them:
-    (terms, d0, steps), window i the terms' entries i over
+    (terms, d0, steps, whole), window i the terms' entries i over
     d_i = d0 steps[0] ... steps[i-1], the denominator ``_parts`` builds at
-    n0 + i.  Built by N = order forward differences: the transform is
-    Delta^N [m^N x_m] / N!.  Each term's run x_m = X_m / d_m,
-    m = n0..n1+N, is scaled to its integers (with the weights' sign and
-    power); pass p maps entry i to a[i+1] - step(n0+i+p+1) a[i], so entry
-    i ends as the same integer over d_{n0+i+N} that ``_parts`` builds.
-    r's term -m is its closed form ``_m_part`` times d_i.  Cheaper than
-    ``_parts`` per window once a run passes about N/2; built as read."""
+    n0 + i, and the entries i of ``whole`` over 1.  Built by N = order
+    forward differences: the transform is Delta^N [m^N x_m] / N!.  Each
+    term's run x_m = X_m / d_m, m = n0..n1+N, is scaled to its integers
+    (with the weights' sign and power); pass p maps entry i to
+    a[i+1] - step(n0+i+p+1) a[i], so entry i ends as the same integer over
+    d_{n0+i+N} that ``_parts`` builds.  r's term -m is ``whole``: its
+    closed form ``_m_part`` at each n, the integer ``_parts`` carries over
+    1.  Cheaper than ``_parts`` per window once a run passes about N/2;
+    built as read."""
     step, den, sign, power, terms = _probe(which)
     top = n1 + order
     steps = [step(m) for m in range(n0 + 1, top + 1)]
@@ -204,12 +207,9 @@ def _run_parts(which: str, order: int, n0: int, n1: int) -> tuple:
         for p in range(order):
             a = [hi - s * lo for hi, s, lo in zip(a[1:], steps[p:], a)]
         runs.append((const, a))
-    d0, steps = factorial(order) * den(n0 + order), steps[order:]
-    if which == "r":
-        runs.append(((-1, 0, 1), [
-            _m_part(order, n) * d for n, d in
-            zip(range(n0, n1 + 1), accumulate(steps, mul, initial=d0))]))
-    return runs, d0, steps
+    whole = ([((-1, 0, 1), [_m_part(order, n) for n in range(n0, n1 + 1)])]
+             if which == "r" else [])
+    return runs, factorial(order) * den(n0 + order), steps[order:], whole
 
 
 # The rounded transforms behind convergence_rows and their plot text, one
@@ -224,8 +224,9 @@ def _rows(which: str, order: int, dps: int) -> Table:
     table = _TRANSFORM_ROWS.get((which, order, dps))
     if table is None:
         def grow(rows: list, n: int) -> None:
-            rows.extend(_round_run(
-                *_run_parts(which, order, len(rows) + 1, n + 1), dps))
+            terms, d0, steps, whole = _run_parts(which, order,
+                                                 len(rows) + 1, n + 1)
+            rows.extend(_round_run(terms, d0, steps, dps, whole))
         table = _TRANSFORM_ROWS.setdefault(
             (which, order, dps), Table(grow, lambda x, m: _nstr(x, dps)))
     return table

@@ -11,9 +11,10 @@ psi-class intersection numbers are exact one-liners.
 
 Both builders cache in a ``Table``: asking for N after M < N reuses the
 first M+1 entries.  So do t_g and p_g, whose tables hold the ``SymConst``
-values themselves.  The recursions run on the scaled integers
-U_m = 96^m u_m and R_m = 8^m sqrt3^(m-1) v_m, which every library reader
-takes through ``grown``; both float layers sum them with ``_horner``.
+values in place of integers and their printed text as entries.  The
+recursions run on the scaled integers U_m = 96^m u_m and
+R_m = 8^m sqrt3^(m-1) v_m, which every library reader takes through
+``grown``; both float layers sum them with ``_horner``.
 """
 
 from __future__ import annotations
@@ -190,10 +191,10 @@ def _extend_p(ps: list, n: int) -> None:
                            rad3=1 - m, gamma_arg=Fraction(5 * m - 1, 4)))
 
 
-# SymConst values are immutable, so these tables hold them as their entries:
-# T at index g, P at index twog - 1.
-T = Table(_extend_t, lambda x, g: x)
-P = Table(_extend_p, lambda x, m: x)
+# These tables hold the SymConst values in place of integers, T at index g
+# and P at index twog - 1, and their printed text as their entries.
+T = Table(_extend_t, lambda x, g: str(x))
+P = Table(_extend_p, lambda x, m: str(x))
 
 
 def t_of_g(g: int) -> SymConst:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -14,7 +15,7 @@ import crosscap
 from crosscap import cli
 from crosscap.asymptotics import asym_vk, relative_error
 from crosscap.cli import build_parser, run
-from crosscap.exactnum import _nstr
+from crosscap.exactnum import SymConst, _nstr
 from crosscap.extrapolation import probe_richardson
 from crosscap.transseries import vk_table
 
@@ -366,6 +367,17 @@ def test_exact_values_past_the_int_string_limit(capsys):
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("name", ["t", "p"])
+def test_repeated_seq_prints_the_cached_text(capsys, name):
+    # t_g and p_g are printed once per process, into their tables' entries:
+    # a repeat formats no SymConst
+    first = invoke(capsys, "seq", name, "--n", "60")
+    assert first[0] == 0
+    with patch.object(SymConst, "__str__",
+                      side_effect=AssertionError("printed again")):
+        assert invoke(capsys, "seq", name, "--n", "60") == first
 
 
 # modules that only the float commands may load

@@ -414,12 +414,13 @@ def test_round_sum_matches_the_mpf_kernel(consts, ratios, cancel, dps):
     assert got._mpf_ == reference_round_sum(parts, dps)._mpf_
 
 
-def window_parts(terms, d0, steps, i):
+def window_parts(terms, d0, steps, i, whole=()):
     """Window i of a ``_round_run`` run as ``round_sum`` parts."""
     d = d0
     for step in steps[:i]:
         d *= step
-    return [(const, (x[i], d)) for const, x in terms]
+    return ([(const, (x[i], d)) for const, x in terms]
+            + [(const, (y[i], 1)) for const, y in whole])
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,6 +437,10 @@ def test_run_kernel_matches_round_sum_per_window(data, consts, windows, d0,
     # by about that many bits, and one whose tiny and small numerators are
     # all 0 sums to exactly 0.  The tiny numerators are wider than the
     # widest rounding, as a row's are, so the kernel reads only their top.
+    # Some runs add a column of integers over 1, as r's -m is, on the first
+    # constant or another: on the first, a window's tiny numerator may be
+    # -y d_i, cancelling its integer y exactly.  The kernel floors a few
+    # windows at a time, so windows widen and cancel across its blocks.
     steps = data.draw(st.lists(st.integers(1, 10 ** 4), min_size=windows - 1,
                                max_size=windows - 1))
     cancels = data.draw(st.lists(st.integers(40, 2000), min_size=windows,
@@ -444,22 +449,40 @@ def test_run_kernel_matches_round_sum_per_window(data, consts, windows, d0,
     big = [data.draw(st.integers(2 ** 2999, 2 ** 3000)) * data.draw(
         st.sampled_from([1, -1])) << cancel for cancel in cancels]
     tiny = data.draw(st.lists(small, min_size=windows, max_size=windows))
+    whole = []
+    if data.draw(st.booleans()):
+        const = data.draw(st.one_of(st.just(consts[0]), constants))
+        ys = data.draw(st.lists(st.one_of(st.integers(-2 ** 64, 2 ** 64),
+                                          small),
+                                min_size=windows, max_size=windows))
+        whole = [(const, ys)]
+        if const == consts[0]:
+            d = d0
+            for i, y in enumerate(ys):
+                d *= steps[i - 1] if i else 1
+                if data.draw(st.booleans()):
+                    tiny[i] = -y * d
     terms = [(consts[0], big),
              (consts[0], [t - b for b, t in zip(big, tiny)])]
     terms += [(const, data.draw(st.lists(small, min_size=windows,
                                          max_size=windows)))
               for const in consts[1:]]
+    block = data.draw(st.integers(1, 5))
     want = []
     for i in range(windows):
         try:
-            want.append(round_sum(window_parts(terms, d0, steps, i), dps)._mpf_)
+            want.append(round_sum(window_parts(terms, d0, steps, i, whole),
+                                  dps)._mpf_)
         except ValueError:
             # the windows before it still round alone
-            with pytest.raises(ValueError):
-                _round_run(terms, d0, steps, dps)
+            with patch.object(exactnum, "_BLOCK", block), \
+                    pytest.raises(ValueError):
+                _round_run(terms, d0, steps, dps, whole)
             break
-    got = _round_run([(const, x[:len(want)]) for const, x in terms], d0,
-                     steps, dps)
+    with patch.object(exactnum, "_BLOCK", block):
+        got = _round_run([(const, x[:len(want)]) for const, x in terms], d0,
+                         steps, dps,
+                         [(const, y[:len(want)]) for const, y in whole])
     assert [value._mpf_ for value in got] == want
 
 

@@ -759,19 +759,21 @@ def test_probe_closed_forms():
 def test_run_kernel_matches_window_kernel(which):
     # every n in 1..300, in the runs a row grown to 40, then 97, then 300
     # builds: the forward differences give the Horner sums' integers over
-    # the same stepped denominators (r's -m, an integer there, times d_i)
+    # the same stepped denominators, and r's -m is the integer over 1 that
+    # _parts carries
     for order in (0, 1, 5, 10, 30):
         for n0, n1 in ((1, 40), (41, 97), (98, 300)):
-            terms, d, steps = _run_parts(which, order, n0, n1)
+            terms, d, steps, whole = _run_parts(which, order, n0, n1)
             assert len(steps) == n1 - n0
+            assert len(whole) == (which == "r")
             for i, n in enumerate(range(n0, n1 + 1)):
                 d *= steps[i - 1] if i else 1
                 parts = _parts(which, order, n)
-                assert [const for const, _ in terms] == \
+                assert [const for const, _ in terms + whole] == \
                     [const for const, _ in parts], (order, n)
-                for (_, x), (_, (p, q)) in zip(terms, parts):
-                    assert (x[i], d) == (p, q) or (x[i], q) == (p * d, 1), \
-                        (order, n)
+                assert [(x[i], d) for _, x in terms] + \
+                    [(y[i], 1) for _, y in whole] == \
+                    [pq for _, pq in parts], (order, n)
 
 
 def test_integers_from_the_tables_to_round_sum():
@@ -1033,6 +1035,31 @@ def test_sminus1_values_unchanged_estimate_first():
     # each estimate's window runs before its rows, on lead and braces it
     # builds per index
     assert sminus1_digest(estimate_first=True) == SMINUS1_DIGEST
+
+
+# SHA-256 prefixes of the s and r rows below, as computed when the run
+# kernel carried r's -m term as -m d_i over each stepped d_i
+ROW_ORDERS, ROW_DPS = (0, 1, 5, 30), (60, 200)
+S_DIGEST = "f7f638818b1e5499"
+R_DIGEST = "87210556e980c80b"
+
+
+def rows_digest(which, sizes):
+    digest = hashlib.sha256()
+    with fresh_caches():
+        for dps in ROW_DPS:
+            for n_max in sizes:
+                rows = convergence_rows(which, n_max, ROW_ORDERS, dps)
+            for n, *values in rows:
+                digest.update(repr((n, [x._mpf_ for x in values])).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("which", ["s", "r"])
+@pytest.mark.parametrize("sizes", [(300,), (70, 180, 300)],
+                         ids=["one_call", "three_calls"])
+def test_row_values_unchanged(which, sizes):
+    assert rows_digest(which, sizes) == {"s": S_DIGEST, "r": R_DIGEST}[which]
 
 
 # ---------------------------------------------------------------------------
